@@ -39,11 +39,9 @@ from .graphs import (
     bits_of,
     component_mask,
     components_masks,
-    contract_collection,
     is_connected_set,
     mask_of,
     neighborhood,
-    validate_collection,
 )
 
 CertificateKind = Literal["linkage", "critical"]
@@ -121,20 +119,27 @@ class Verdict:
         return out
 
 
-def _max_member_neighborhood(g: Graph, x: Collection) -> int:
-    return max((len(neighborhood(g, member)) for member in x), default=0)
+def _verify_collection(
+    rg: RootedGraph,
+    kind: CertificateKind,
+    x: Collection,
+    cap: int,
+    forbidden: frozenset[int],
+    rhs_offset_doubled: int,
+) -> CertificateReport:
+    """The check both kinds share: validate, contract and augment ``x`` once,
+    then test ``2e <= 2 * cap * v - rhs_offset_doubled``."""
+    augmented = augment_rooted(rg, x, forbidden)
+    lhs = 2 * augmented.edge_count
+    rhs = 2 * cap * augmented.vertex_count - rhs_offset_doubled
+    holds = all(len(neighborhood(rg.graph, member)) <= cap for member in x) and lhs <= rhs
+    return CertificateReport(kind, x, cap, lhs, rhs, holds)
 
 
 def verify_linkage_collection(rg: RootedGraph, x: Collection) -> CertificateReport:
     """Check the linkage certificate for ``x`` against the rooted graph."""
-    validate_collection(rg.graph, x, forbidden=rg.roots)
     m = rg.m
-    contracted, _ = contract_collection(rg.graph, x)
-    augmented = augment_rooted(rg, x)
-    lhs = 2 * augmented.edge_count
-    rhs = 2 * (m + 1) * contracted.vertex_count - m * m - 3 * m - 2
-    holds = _max_member_neighborhood(rg.graph, x) <= m + 1 and lhs <= rhs
-    return CertificateReport("linkage", x, m + 1, lhs, rhs, holds)
+    return _verify_collection(rg, "linkage", x, m + 1, frozenset(), m * m + 3 * m + 2)
 
 
 def verify_critical_collection(
@@ -146,14 +151,10 @@ def verify_critical_collection(
         rg.graph._check_vertex(u)
     if u_set & rg.roots:
         raise InvalidInputError("u_set may not contain root vertices")
-    validate_collection(rg.graph, x, forbidden=rg.roots | u_set)
     m = rg.m
-    contracted, _ = contract_collection(rg.graph, x)
-    augmented = augment_rooted(rg, x)
-    lhs = 2 * augmented.edge_count
-    rhs = 2 * (m + 2) * contracted.vertex_count - m * m - 5 * m - 6 - 2 * len(u_set)
-    holds = _max_member_neighborhood(rg.graph, x) <= m + 2 and lhs <= rhs
-    return CertificateReport("critical", x, m + 2, lhs, rhs, holds)
+    return _verify_collection(
+        rg, "critical", x, m + 2, u_set, m * m + 5 * m + 6 + 2 * len(u_set)
+    )
 
 
 def base_case_collection(rg: RootedGraph) -> Collection | None:
@@ -196,31 +197,37 @@ def critical_base_collection(rg: RootedGraph, u_set: Iterable[int]) -> Collectio
     return Collection(frozenset(bits_of(c)) for c in components_masks(g.adjacency_masks, alive))
 
 
-def _candidate_members(g: Graph, forbidden: frozenset[int], cap: int) -> list[frozenset[int]]:
+def _candidate_members(
+    g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock
+) -> list[frozenset[int]]:
     """All connected vertex sets avoiding ``forbidden`` with small neighborhoods,
-    in (size, lexicographic) order."""
+    in (size, lexicographic) order.  Every subset tried ticks ``clock``."""
     allowed = [v for v in range(g.vertex_count) if v not in forbidden]
     out = []
     for size in range(1, len(allowed) + 1):
         for combo in itertools.combinations(allowed, size):
+            clock.tick()
             member = frozenset(combo)
             if is_connected_set(g, member) and len(neighborhood(g, member)) <= cap:
                 out.append(member)
     return out
 
 
-def iter_collections(g: Graph, forbidden: frozenset[int], cap: int):
+def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
-    order with the empty collection first."""
+    order with the empty collection first.  The precomputation ticks
+    ``clock`` per candidate subset and per compatibility row."""
     yield Collection()
-    candidates = _candidate_members(g, forbidden, cap)
+    candidates = _candidate_members(g, forbidden, cap, clock)
     closed = [member | neighborhood(g, member) for member in candidates]
     k = len(candidates)
-    compatible = [
-        [not (closed[i] & candidates[j] or closed[j] & candidates[i]) for j in range(k)]
-        for i in range(k)
-    ]
+    compatible = []
+    for i in range(k):
+        clock.tick()
+        compatible.append(
+            [not (closed[i] & candidates[j] or closed[j] & candidates[i]) for j in range(k)]
+        )
 
     def rec(prefix: tuple[int, ...], start: int):
         for i in range(start, k):
@@ -251,14 +258,12 @@ def search_collection(
         if u_set:
             raise InvalidInputError("the linkage certificate takes no u_set")
         cap = rg.m + 1
-        forbidden = rg.roots
 
         def passes(coll: Collection) -> bool:
             return verify_linkage_collection(rg, coll).holds
 
     elif kind == "critical":
         cap = rg.m + 2
-        forbidden = rg.roots | u_set
 
         def passes(coll: Collection) -> bool:
             return verify_critical_collection(rg, u_set, coll).holds
@@ -267,7 +272,7 @@ def search_collection(
         raise InvalidInputError(f"unknown certificate kind {kind!r}")
 
     clock = _BudgetClock(budget)
-    for coll in iter_collections(rg.graph, forbidden, cap):
+    for coll in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
         clock.tick()
         if passes(coll):
             return coll
@@ -349,9 +354,9 @@ def gmk_audit(m: int, k: int) -> GmkAuditReport:
         raise InvalidInputError("the audit needs m >= 1")
     rg = gmk_graph(m, k)
     feasible = is_feasible(rg)
-    edges_doubled = 2 * augment_rooted(rg, Collection()).edge_count
-    expected = 2 * (m + 1) * (m + k + 2) - m * m - 3 * m - 2
     report = verify_linkage_collection(rg, Collection())
+    edges_doubled = report.lhs_edges_doubled
+    expected = 2 * (m + 1) * (m + k + 2) - m * m - 3 * m - 2
     mismatches = []
     if feasible:
         mismatches.append("instance is feasible; the tight family member should not be")

@@ -24,6 +24,7 @@ from .graphs import (
     bits_of,
     component_mask,
     components_masks,
+    is_connected_set,
     mask_of,
 )
 
@@ -70,8 +71,6 @@ class LinkagePair:
     b_path: Path
 
     def validate(self, rg: RootedGraph) -> None:
-        from .graphs import is_connected_set
-
         g = rg.graph
         self.b_path.validate_in(g)
         if set(self.b_path.ends) != {rg.b1, rg.b2}:
@@ -212,46 +211,16 @@ def two_linkage(
 ) -> tuple[Path, Path] | None:
     """Two vertex-disjoint paths ``s1 -> t1`` and ``s2 -> t2``, or ``None``.
 
-    Exhaustive DFS over first paths; a second path is extracted by shortest
-    search in the remainder.  The prunes (terminal reachability and
-    second-pair connectivity in the remainder) are conservative for the
-    same deletion-only reason as in :func:`find_linkage_pair`.
+    This is the ``m = 2`` case of feasibility: a connected part holding
+    ``s1, t1`` beside an ``s2``-``t2`` path is the same thing as two disjoint
+    paths.  The ``s2``-``t2`` path comes from :func:`find_linkage_pair`, the
+    ``s1``-``t1`` path is the shortest one inside the returned ``a_part``.
     """
-    terminals = (s1, t1, s2, t2)
-    for v in terminals:
-        g._check_vertex(v)
-    if len(set(terminals)) != 4:
-        raise InvalidInputError("two_linkage needs four distinct terminals")
-    clock = _BudgetClock(budget)
-    adj = g.adjacency_masks
-    full = (1 << g.vertex_count) - 1
-    reserved = 1 << s2 | 1 << t2
-
-    path = [s1]
-    on_path = 1 << s1
-    iters = [iter(bits_of(adj[s1] & full & ~reserved & ~on_path))]
-    while iters:
-        v = next(iters[-1], -1)
-        if v < 0:
-            iters.pop()
-            on_path &= ~(1 << path.pop())
-            continue
-        clock.tick()
-        new_on = on_path | 1 << v
-        rest = full & ~new_on & ~reserved
-        if v == t1:
-            second = _bfs_path(adj, (full & ~new_on) | 1 << s2, s2, t2)
-            if second is not None:
-                return Path(path + [v]), Path(second)
-            continue
-        if not component_mask(adj, rest | 1 << v, v) >> t1 & 1:
-            continue
-        if not component_mask(adj, (full & ~new_on) | 1 << s2, s2) >> t2 & 1:
-            continue
-        path.append(v)
-        on_path = new_on
-        iters.append(iter(bits_of(adj[v] & full & ~reserved & ~new_on)))
-    return None
+    pair = find_linkage_pair(RootedGraph(g, (s1, t1), s2, t2), budget)
+    if pair is None:
+        return None
+    first = _bfs_path(g.adjacency_masks, mask_of(pair.a_part), s1, t1)
+    return Path(first), pair.b_path
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ from .graphs import Graph
 
 _G6_HEADER = ">>graph6<<"
 
+# Largest vertex count an edge-list header may declare: the header alone sizes
+# the adjacency lists.  graph6 needs no limit, as its body length must match n.
+MAX_EDGE_LIST_VERTICES = 100_000
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = text.splitlines()
@@ -31,6 +35,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"non-integer header fields in {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", line=1)
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise ParseError(f"header declares {n} vertices, above the limit {MAX_EDGE_LIST_VERTICES}", line=1)
     edges: set[tuple[int, int]] = set()
     body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != m:

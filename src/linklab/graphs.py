@@ -359,14 +359,16 @@ def normalize_connected(g: Graph, x: Collection) -> Collection:
     return Collection(out)
 
 
-def contract_collection(g: Graph, x: Collection) -> tuple[Graph, dict[int, int]]:
+def contract_collection(
+    g: Graph, x: Collection, forbidden: Iterable[int] = ()
+) -> tuple[Graph, dict[int, int]]:
     """Delete each member and add a clique on its neighborhood.
 
     Returns the contracted graph plus the map from surviving old ids to new
     dense ids.  Raises :class:`InvalidCollectionError` if ``x`` violates the
-    collection invariant in ``g``.
+    collection invariant in ``g`` or meets ``forbidden``.
     """
-    validate_collection(g, x)
+    validate_collection(g, x, forbidden)
     removed = x.support
     survivors = [v for v in range(g.vertex_count) if v not in removed]
     relabel = {v: i for i, v in enumerate(survivors)}
@@ -380,12 +382,10 @@ def contract_collection(g: Graph, x: Collection) -> tuple[Graph, dict[int, int]]
     return Graph(len(survivors), frozenset(new_edges)), relabel
 
 
-def augment_rooted(rg: RootedGraph, x: Collection) -> Graph:
-    """The contracted graph plus all edges among roots except ``b1 b2``."""
-    contracted, relabel = contract_collection(rg.graph, x)
-    for r in rg.roots:
-        if r not in relabel:
-            raise InvalidCollectionError(f"collection member contains root vertex {r}")
+def augment_rooted(rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()) -> Graph:
+    """The contraction of ``x``, which must avoid the roots and ``forbidden``,
+    plus all edges among roots except ``b1 b2``; no vertex is added."""
+    contracted, relabel = contract_collection(rg.graph, x, rg.roots | frozenset(forbidden))
     new_roots = sorted(relabel[r] for r in rg.roots)
     banned = tuple(sorted((relabel[rg.b1], relabel[rg.b2])))
     extra = [e for e in itertools.combinations(new_roots, 2) if e != banned]

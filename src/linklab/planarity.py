@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from .certificates import iter_collections
 from .errors import InvalidInputError
-from .graphs import Collection, Graph, RootedGraph, contract_collection, neighborhood
+from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
+from .graphs import Collection, Graph, RootedGraph, augment_rooted, contract_collection, neighborhood
 
 
 @dataclass(frozen=True)
@@ -71,31 +73,27 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     """
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    from .graphs import validate_collection
-
-    validate_collection(rg.graph, x, forbidden=rg.roots)
+    contracted, relabel = contract_collection(rg.graph, x, rg.roots)
     if any(len(neighborhood(rg.graph, member)) > 3 for member in x):
         return False
-    contracted, relabel = contract_collection(rg.graph, x)
     a1, a2 = rg.a_set
     boundary = (relabel[a1], relabel[rg.b1], relabel[a2], relabel[rg.b2])
     return is_disc_planar(DiscInstance(contracted, boundary))
 
 
-def find_seymour_certificate(rg: RootedGraph, budget=None) -> Collection | None:
+def find_seymour_certificate(
+    rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE
+) -> Collection | None:
     """Exhaustive search for a collection passing the planar certificate.
 
     Candidate members are connected with at most 3 neighbors; splitting a
     disconnected member only shrinks the contracted graph's edge set, so the
     restriction is lossless here as well.  ``None`` only after exhaustion.
     """
-    from .certificates import iter_collections
-    from .feasibility import EXHAUSTIVE, _BudgetClock
-
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    clock = _BudgetClock(budget if budget is not None else EXHAUSTIVE)
-    for coll in iter_collections(rg.graph, rg.roots, 3):
+    clock = _BudgetClock(budget)
+    for coll in iter_collections(rg.graph, rg.roots, 3, clock):
         clock.tick()
         if check_seymour_certificate(rg, coll):
             return coll
@@ -111,8 +109,5 @@ def seymour_edge_bound(rg: RootedGraph, x: Collection) -> bool:
     """
     if not check_seymour_certificate(rg, x):
         raise InvalidInputError("edge bound requires a valid planar certificate")
-    from .graphs import augment_rooted
-
-    contracted, _ = contract_collection(rg.graph, x)
     augmented = augment_rooted(rg, x)
-    return augmented.edge_count <= 3 * contracted.vertex_count - 6
+    return augmented.edge_count <= 3 * augmented.vertex_count - 6

@@ -154,6 +154,31 @@ def brute_collection_valid(g: Graph, members: list[frozenset[int]], forbidden: s
     return True
 
 
+def brute_certificate(
+    rg: RootedGraph, members: list[frozenset[int]], kind: str, u_count: int = 0
+) -> tuple[int, int, bool]:
+    """``(lhs_edges_doubled, rhs_bound_doubled, holds)`` of a certificate,
+    straight from the definition: delete the members, add a clique on each
+    member's neighbourhood, join every root pair except ``b1 b2``, count the
+    edges and compare with the bound of the given kind."""
+    adj = _adjacency(rg.graph)
+    removed = set().union(*members)
+    edges = {frozenset(e) for e in rg.graph.edges if not set(e) & removed}
+    neighbourhoods = [set().union(*(adj[v] for v in member)) - member for member in members]
+    for nb in neighbourhoods:
+        edges |= {frozenset(p) for p in itertools.combinations(nb, 2)}
+    roots = [*rg.a_set, rg.b1, rg.b2]
+    edges |= {frozenset(p) for p in itertools.combinations(roots, 2)} - {frozenset((rg.b1, rg.b2))}
+    m = rg.m
+    v = rg.graph.vertex_count - len(removed)
+    if kind == "linkage":
+        cap, rhs = m + 1, 2 * (m + 1) * v - m * m - 3 * m - 2
+    else:
+        cap, rhs = m + 2, 2 * (m + 2) * v - m * m - 5 * m - 6 - 2 * u_count
+    lhs = 2 * len(edges)
+    return lhs, rhs, all(len(nb) <= cap for nb in neighbourhoods) and lhs <= rhs
+
+
 # ---------------------------------------------------------------------------
 # Planarity by exhaustive rotation-system search.
 #

@@ -19,11 +19,12 @@ from linklab.certificates import (
     verify_critical_collection,
     verify_linkage_collection,
 )
-from linklab.errors import InvalidCollectionError, InvalidInputError
-from linklab.feasibility import is_feasible
+from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
+from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, neighborhood
-from oracles import naive_is_feasible
-from strategies import rooted_graphs
+from linklab.planarity import find_seymour_certificate
+from oracles import brute_certificate, naive_is_feasible
+from strategies import collections_in, rooted_graphs
 
 
 class TestVerifyLinkage:
@@ -106,6 +107,22 @@ class TestVerifyCritical:
         rg = RootedGraph(Graph.complete(4), (), 0, 1)
         with pytest.raises(InvalidInputError):
             verify_critical_collection(rg, {0}, Collection())
+
+
+@given(rooted_graphs(max_m=3, max_n=7), st.data())
+def test_verify_matches_brute_force_arithmetic(rg, data):
+    x = data.draw(collections_in(rg.graph, rg.roots))
+    free = sorted(set(range(rg.graph.vertex_count)) - rg.roots - x.support)
+    u_set = frozenset(data.draw(st.lists(st.sampled_from(free), unique=True)) if free else ())
+    members = list(x)
+    linkage = verify_linkage_collection(rg, x)
+    assert (linkage.lhs_edges_doubled, linkage.rhs_bound_doubled, linkage.holds) == (
+        brute_certificate(rg, members, "linkage")
+    )
+    critical = verify_critical_collection(rg, u_set, x)
+    assert (critical.lhs_edges_doubled, critical.rhs_bound_doubled, critical.holds) == (
+        brute_certificate(rg, members, "critical", len(u_set))
+    )
 
 
 class TestBaseCaseCollection:
@@ -195,7 +212,8 @@ class TestSearchCollection:
         for m in (1, 2, 3):
             for k in range(4):
                 rg = gmk_graph(m, k)
-                assert _candidate_members(rg.graph, rg.roots, rg.m + 1) == []
+                clock = _BudgetClock(EXHAUSTIVE)
+                assert _candidate_members(rg.graph, rg.roots, rg.m + 1, clock) == []
 
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -244,6 +262,46 @@ class TestSearchCollection:
                         break
                 found = search_collection(rg, "linkage")
                 assert (found is not None) == any_passes
+
+
+def trigrid(r: int, c: int, k: int) -> RootedGraph:
+    """The r x c grid with right, down and down-right edges, plus a K_k clump
+    joined to the triangle {(1,1), (1,2), (2,2)}; a = (top-left,
+    bottom-right), b = (top-right, bottom-left).  Infeasible, and the empty
+    collection does not certify it, so certificate searches must enumerate
+    candidate members."""
+    edges = []
+    for i, j in itertools.product(range(r), range(c)):
+        v = i * c + j
+        if j + 1 < c:
+            edges.append((v, v + 1))
+        if i + 1 < r:
+            edges.append((v, v + c))
+        if i + 1 < r and j + 1 < c:
+            edges.append((v, v + c + 1))
+    clump = range(r * c, r * c + k)
+    edges.extend(itertools.combinations(clump, 2))
+    edges.extend((t, x) for x in clump for t in (c + 1, c + 2, 2 * c + 2))
+    g = Graph.from_edges(r * c + k, edges)
+    return RootedGraph(g, (0, r * c - 1), c - 1, (r - 1) * c)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda rg, b: search_collection(rg, "linkage", budget=b), find_seymour_certificate],
+    ids=["search_collection", "find_seymour_certificate"],
+)
+@pytest.mark.parametrize(
+    "budget",
+    [SearchBudget(max_nodes_expanded=1000), SearchBudget(time_limit_ms=10)],
+    ids=["nodes", "time"],
+)
+def test_budget_bounds_candidate_enumeration(search, budget):
+    # 15 non-root vertices: 2^15 candidate subsets precede the first
+    # nonempty family, far beyond either budget.
+    rg = trigrid(3, 5, 4)
+    with pytest.raises(SearchBudgetExceeded):
+        search(rg, budget)
 
 
 class TestTheoremCheck:

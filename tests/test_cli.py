@@ -109,6 +109,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_oversized_header_rejected(tmp_path, capsys):
+    # Just above the limit of 100,000 vertices, so that a parser without the
+    # limit builds a small graph rather than exhausting memory.
+    path = write(tmp_path, "100001 0\n")
+    code, out, err = run(capsys, ["connectivity", "-i", path])
+    assert code == 2
+    assert out == ""
+    assert "above the limit 100000" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, [])[0] == 2

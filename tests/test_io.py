@@ -5,6 +5,7 @@ from hypothesis import given
 
 from linklab.errors import ParseError
 from linklab.graphio import (
+    MAX_EDGE_LIST_VERTICES,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -28,6 +29,12 @@ class TestEdgeList:
     def test_malformed_header(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_edge_list("nope\n")
+
+    def test_header_vertex_limit(self):
+        limit = MAX_EDGE_LIST_VERTICES
+        assert parse_edge_list(f"{limit} 0").vertex_count == limit
+        with pytest.raises(ParseError, match="line 1.*limit"):
+            parse_edge_list(f"{limit + 1} 0")
 
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="line 3.*duplicate"):
