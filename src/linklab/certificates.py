@@ -27,6 +27,7 @@ from .feasibility import (
     LinkagePair,
     SearchBudget,
     _BudgetClock,
+    _pinned_set,
     find_linkage_pair,
     is_critically_feasible,
     is_feasible,
@@ -146,11 +147,7 @@ def verify_critical_collection(
     rg: RootedGraph, u_set: Iterable[int], x: Collection
 ) -> CertificateReport:
     """Check the critical certificate for ``x`` with pinned set ``u_set``."""
-    u_set = frozenset(u_set)
-    for u in u_set:
-        rg.graph._check_vertex(u)
-    if u_set & rg.roots:
-        raise InvalidInputError("u_set may not contain root vertices")
+    u_set = _pinned_set(rg, u_set)
     m = rg.m
     return _verify_collection(
         rg, "critical", x, m + 2, u_set, m * m + 5 * m + 6 + 2 * len(u_set)
@@ -244,38 +241,35 @@ def search_collection(
     kind: CertificateKind,
     u_set: Iterable[int] = (),
     budget: SearchBudget = EXHAUSTIVE,
-) -> Collection | None:
+) -> CertificateReport | None:
     """Exhaustive search for a collection whose certificate holds.
 
     Families are enumerated depth-first over compatible candidate members in
     canonical order, the empty collection first; each family is tested as it
-    is formed, and the first passing collection wins.  ``None`` is returned
-    only after the whole space is exhausted.  Restricting candidates to
-    connected members is lossless (see module docstring).
+    is formed, and the report of the first passing collection is returned.
+    ``None`` is returned only after the whole space is exhausted.
+    Restricting candidates to connected members is lossless (see module
+    docstring).
     """
     u_set = frozenset(u_set)
     if kind == "linkage":
         if u_set:
             raise InvalidInputError("the linkage certificate takes no u_set")
         cap = rg.m + 1
-
-        def passes(coll: Collection) -> bool:
-            return verify_linkage_collection(rg, coll).holds
-
     elif kind == "critical":
         cap = rg.m + 2
-
-        def passes(coll: Collection) -> bool:
-            return verify_critical_collection(rg, u_set, coll).holds
-
     else:
         raise InvalidInputError(f"unknown certificate kind {kind!r}")
 
     clock = _BudgetClock(budget)
     for coll in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
         clock.tick()
-        if passes(coll):
-            return coll
+        if kind == "linkage":
+            report = verify_linkage_collection(rg, coll)
+        else:
+            report = verify_critical_collection(rg, u_set, coll)
+        if report.holds:
+            return report
     return None
 
 
@@ -290,11 +284,11 @@ def theorem_check(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Verdict
         pair = find_linkage_pair(rg, budget)
         if pair is not None:
             return Verdict("feasible", pair=pair)
-        coll = search_collection(rg, "linkage", budget=budget)
+        report = search_collection(rg, "linkage", budget=budget)
     except SearchBudgetExceeded:
         return Verdict("inconclusive", budget=budget)
-    if coll is not None:
-        return Verdict("certified", report=verify_linkage_collection(rg, coll))
+    if report is not None:
+        return Verdict("certified", report=report)
     return Verdict("counterexample-candidate")
 
 

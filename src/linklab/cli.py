@@ -16,7 +16,7 @@ from .certificates import gmk_audit, gmk_graph, theorem_check
 from .connectivity import vertex_connectivity
 from .errors import InvalidInputError, ParseError, SearchBudgetExceeded
 from .feasibility import SearchBudget, find_linkage_pair, is_critically_feasible, removable_path
-from .graphio import parse_graph, parse_roots
+from .graphio import parse_graph, parse_roots, parse_vertex_list
 from .graphs import Graph, RootedGraph
 from .harness import (
     CampaignConfig,
@@ -140,7 +140,7 @@ def _cmd_removable(args) -> int:
 
 def _cmd_critical(args) -> int:
     rg = _load_rooted(args)
-    u_set = frozenset(int(v) for v in args.u.split(",")) if args.u else frozenset()
+    u_set = frozenset(parse_vertex_list(args.u))
     answer = is_critically_feasible(rg, u_set)
     _emit({"command": "critical", "u": sorted(u_set), "critically_feasible": answer},
           [f"critically feasible for U={sorted(u_set)}: {answer}"], args)
@@ -165,7 +165,7 @@ def _cmd_connectivity(args) -> int:
 
 def _cmd_disc_planar(args) -> int:
     g = _load_graph(args)
-    boundary = tuple(int(v) for v in args.boundary.split(",")) if args.boundary else ()
+    boundary = parse_vertex_list(args.boundary)
     answer = is_disc_planar(DiscInstance(g, boundary))
     _emit({"command": "disc-planar", "boundary": list(boundary), "disc_planar": answer},
           [f"disc planar with boundary {list(boundary)}: {answer}"], args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import InvalidInputError, SearchBudgetExceeded
 from .graphs import (
@@ -169,6 +170,16 @@ def _feasible_without(rg: RootedGraph, banned: int) -> bool:
     return _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, banned, clock) is not None
 
 
+def _pinned_set(rg: RootedGraph, u_set: Iterable[int]) -> frozenset[int]:
+    """``u_set`` as a frozenset, checked to hold only non-root vertices of ``rg``."""
+    u_set = frozenset(u_set)
+    for u in u_set:
+        rg.graph._check_vertex(u)
+    if u_set & rg.roots:
+        raise InvalidInputError("u_set may not contain root vertices")
+    return u_set
+
+
 def is_critically_feasible(rg: RootedGraph, u_set: frozenset[int] | set[int]) -> bool:
     """Whether ``rg`` is feasible and every linkage path must pass through ``u_set``.
 
@@ -177,11 +188,7 @@ def is_critically_feasible(rg: RootedGraph, u_set: frozenset[int] | set[int]) ->
     the every-linkage-path reading; an empty ``u_set`` reduces to plain
     feasibility.
     """
-    u_set = frozenset(u_set)
-    for u in u_set:
-        rg.graph._check_vertex(u)
-    if u_set & rg.roots:
-        raise InvalidInputError("u_set may not contain root vertices")
+    u_set = _pinned_set(rg, u_set)
     if not is_feasible(rg):
         return False
     return all(not _feasible_without(rg, 1 << u) for u in sorted(u_set))
@@ -250,17 +257,13 @@ def _induced_shortcut(g: Graph, path: Path) -> Path:
     return Path(short)
 
 
-def _ordered_components(
-    adj: tuple[int, ...], alive: int, anchor_seed: int
-) -> list[int]:
-    comps = components_masks(adj, alive)
-    if anchor_seed >= 0:
-        anchor = [c for c in comps if c >> anchor_seed & 1]
-        rest = [c for c in comps if not c >> anchor_seed & 1]
-        rest.sort(key=lambda c: (-bin(c).count("1"), (c & -c).bit_length()))
-        return anchor + rest
-    comps.sort(key=lambda c: (-bin(c).count("1"), (c & -c).bit_length()))
-    return comps
+def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[int]:
+    """Components of ``alive``: the one meeting the ``anchor`` mask first, then
+    by decreasing size and lowest vertex."""
+    return sorted(
+        components_masks(adj, alive),
+        key=lambda c: (not c & anchor, -bin(c).count("1"), (c & -c).bit_length()),
+    )
 
 
 def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> RemovableReport:
@@ -284,14 +287,14 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
         return RemovableReport(None, "infeasible", 0)
     clock = _BudgetClock(budget)
     b_path = _induced_shortcut(g, pair.b_path)
-    anchor_seed = rg.a_set[0] if rg.a_set else -1
+    anchor = 1 << rg.a_set[0] if rg.a_set else 0
     history: list[tuple[int, ...]] = []
     iterations = 0
 
     while True:
         clock.tick()
         alive = full & ~mask_of(b_path.vertices)
-        comps = _ordered_components(adj, alive, anchor_seed)
+        comps = _ordered_components(adj, alive, anchor)
         vec = tuple(bin(c).count("1") for c in comps)
         if history and not vec > history[-1]:
             return RemovableReport(None, "no-lexicographic-progress", iterations, tuple(history + [vec]))

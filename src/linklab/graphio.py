@@ -160,11 +160,20 @@ def serialize_graph(g: Graph, fmt: str = "edgelist") -> str:
     raise ParseError(f"unknown graph format {fmt!r}")
 
 
+def parse_vertex_list(text: str) -> tuple[int, ...]:
+    """Comma-separated vertex ids such as ``1,2,3``; the empty string gives ``()``."""
+    try:
+        return tuple(int(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ParseError(f"non-integer vertex id in {text!r}") from None
+
+
 def parse_roots(text: str) -> tuple[tuple[int, ...], int, int]:
     """Parse a root tuple; returns ``(a_set, b1, b2)``.
 
     Accepts ``a:1,2,3 b:0,4`` (``a:`` optional) or JSON with keys
-    ``a``, ``b1``, ``b2``.
+    ``a`` (a list, optional), ``b1`` and ``b2``, whose vertex ids must be
+    JSON integers.
     """
     s = text.strip()
     if s.startswith("{"):
@@ -172,29 +181,23 @@ def parse_roots(text: str) -> tuple[tuple[int, ...], int, int]:
             obj = json.loads(s)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON root tuple: {exc}") from None
-        try:
-            a = tuple(int(v) for v in obj.get("a", []))
-            return a, int(obj["b1"]), int(obj["b2"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad JSON root tuple: {exc}") from None
+        a = obj.get("a", [])
+        if not isinstance(a, list) or "b1" not in obj or "b2" not in obj:
+            raise ParseError('JSON root tuple needs keys "b1", "b2" and an optional list "a"')
+        if any(type(v) is not int for v in (*a, obj["b1"], obj["b2"])):
+            raise ParseError(f"non-integer vertex id in JSON root tuple {s!r}")
+        return tuple(a), obj["b1"], obj["b2"]
     a: tuple[int, ...] = ()
-    b: tuple[int, int] | None = None
+    b: tuple[int, ...] | None = None
     for token in s.split():
-        try:
-            if token.startswith("a:"):
-                body = token[2:]
-                a = tuple(int(v) for v in body.split(",")) if body else ()
-            elif token.startswith("b:"):
-                parts = token[2:].split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"expected b:<b1>,<b2>, got {token!r}")
-                b = (int(parts[0]), int(parts[1]))
-            else:
-                raise ParseError(f"unrecognized root token {token!r}")
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"non-integer vertex id in root token {token!r}") from None
+        if token.startswith("a:"):
+            a = parse_vertex_list(token[2:])
+        elif token.startswith("b:"):
+            b = parse_vertex_list(token[2:])
+            if len(b) != 2:
+                raise ParseError(f"expected b:<b1>,<b2>, got {token!r}")
+        else:
+            raise ParseError(f"unrecognized root token {token!r}")
     if b is None:
         raise ParseError("root tuple must include b:<b1>,<b2>")
     return a, b[0], b[1]

@@ -228,9 +228,6 @@ class Path:
         hi = j + 1 if include_right else j
         return Path(self.vertices[lo:hi] if lo <= hi else ())
 
-    def reversed(self) -> "Path":
-        return Path(self.vertices[::-1])
-
 
 # ---------------------------------------------------------------------------
 # Bitmask helpers (shared by the search modules).

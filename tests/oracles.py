@@ -79,12 +79,17 @@ def naive_is_feasible(rg: RootedGraph) -> bool:
     )
 
 
-def naive_is_critically_feasible(rg: RootedGraph, u_set: frozenset[int]) -> bool:
-    """Literal reading: feasible, and every witness path covers u_set."""
-    witnesses = [
+def witness_paths(rg: RootedGraph) -> list[tuple[int, ...]]:
+    """Every b1-b2 path meeting the component condition."""
+    return [
         p for p in all_simple_paths(rg.graph, rg.b1, rg.b2)
         if _path_is_witness(rg.graph, rg.a_set, p)
     ]
+
+
+def naive_is_critically_feasible(rg: RootedGraph, u_set: frozenset[int]) -> bool:
+    """Literal reading: feasible, and every witness path covers u_set."""
+    witnesses = witness_paths(rg)
     if not witnesses:
         return False
     return all(u_set <= set(p) for p in witnesses)

@@ -200,11 +200,11 @@ class TestCriticalBaseCollection:
 class TestSearchCollection:
     def test_empty_certifies_short_path(self):
         rg = RootedGraph(Graph.path_graph(3), (1,), 0, 2)
-        assert search_collection(rg, "linkage") == Collection()
+        assert search_collection(rg, "linkage").collection == Collection()
 
     def test_tight_family_empty_collection(self):
         for m in (1, 2, 3):
-            assert search_collection(gmk_graph(m, 2), "linkage") == Collection()
+            assert search_collection(gmk_graph(m, 2), "linkage").collection == Collection()
 
     def test_tight_family_has_no_candidate_members(self):
         # Any nonempty member inside the spine sees too many neighbors, so
@@ -218,16 +218,16 @@ class TestSearchCollection:
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         rg = RootedGraph(g, (4,), 0, 2)
-        coll = search_collection(rg, "linkage")
-        assert coll is not None
-        assert verify_linkage_collection(rg, coll).holds
+        report = search_collection(rg, "linkage")
+        assert report is not None and report.holds
+        assert report == verify_linkage_collection(rg, report.collection)
 
     def test_critical_kind_search(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
         rg = RootedGraph(g, (), 0, 3)
-        coll = search_collection(rg, "critical", {1, 2})
-        assert coll is not None
-        assert verify_critical_collection(rg, {1, 2}, coll).holds
+        report = search_collection(rg, "critical", {1, 2})
+        assert report is not None and report.holds
+        assert report == verify_critical_collection(rg, {1, 2}, report.collection)
 
     def test_linkage_kind_rejects_u(self):
         with pytest.raises(InvalidInputError):

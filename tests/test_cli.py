@@ -119,6 +119,18 @@ def test_oversized_header_rejected(tmp_path, capsys):
     assert "above the limit 100000" in err
 
 
+def test_malformed_vertex_lists_exit_code(tmp_path, capsys):
+    path = write(tmp_path, PATH3)
+    for argv in (
+        ["critical", "-i", path, "--roots", "b:0,2", "--u", "x"],
+        ["disc-planar", "-i", path, "--boundary", "0,y"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "non-integer vertex id" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, ["no-such-command"])[0] == 2
     assert run(capsys, [])[0] == 2

@@ -1,11 +1,13 @@
 """Instance generation determinism, campaign reports, small-graph enumeration."""
 
+import itertools
 import json
 
 import pytest
 
+import linklab.harness
 from linklab.connectivity import vertex_connectivity
-from linklab.feasibility import SearchBudget
+from linklab.feasibility import EXHAUSTIVE, SearchBudget
 from linklab.graphs import Graph
 from linklab.harness import (
     CampaignConfig,
@@ -17,6 +19,7 @@ from linklab.harness import (
     rooted_instances,
     small_graphs,
 )
+from oracles import witness_paths
 
 
 def config(**overrides) -> CampaignConfig:
@@ -94,6 +97,44 @@ class TestCampaigns:
             1 for g in small_graphs(5) if g.vertex_count >= 2
             for _ in rooted_instances(g, 0)
         )
+
+    def test_exhaustive_certifies_exactly_the_critical_pinned_sets(self, monkeypatch):
+        # The m <= 1 sweep must run one critical search per pinned set U on
+        # the interior of each witness path found, for exactly the sets that
+        # every witness path covers, by size and then in combination order.
+        verdicts, searched = [], []
+        decide = linklab.harness.theorem_check
+
+        def record_verdict(rg, budget=EXHAUSTIVE):
+            verdict = decide(rg, budget)
+            verdicts.append((rg, verdict))
+            return verdict
+
+        def record_search(rg, kind, u_set=(), budget=EXHAUSTIVE):
+            searched.append((rg, kind, frozenset(u_set)))
+            return "found"
+
+        monkeypatch.setattr(linklab.harness, "theorem_check", record_verdict)
+        monkeypatch.setattr(linklab.harness, "search_collection", record_search)
+        for m, n_max in ((0, 7), (1, 6)):
+            verdicts.clear()
+            searched.clear()
+            report = campaign_exhaustive_small(
+                CampaignConfig(seed=0, trials=1, n_min=m + 2, n_max=n_max, m=m, model="gnp")
+            )
+            assert report.counts["failures"] == 0
+            expected = []
+            for rg, verdict in verdicts:
+                if verdict.outcome != "feasible":
+                    continue
+                witnesses = [set(p) for p in witness_paths(rg)]
+                interior = [v for v in verdict.pair.b_path.vertices if v not in (rg.b1, rg.b2)]
+                for size in range(len(interior) + 1):
+                    for u_combo in itertools.combinations(interior, size):
+                        if all(set(u_combo) <= p for p in witnesses):
+                            expected.append((rg, "critical", frozenset(u_combo)))
+            assert expected
+            assert searched == expected
 
     def test_generation_failures_are_reported_not_fatal(self):
         report = campaign_connected_feasible(config(trials=3, n_min=4, n_max=4, k=4))

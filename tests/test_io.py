@@ -10,6 +10,7 @@ from linklab.graphio import (
     parse_graph,
     parse_graph6,
     parse_roots,
+    parse_vertex_list,
     serialize_edge_list,
     serialize_graph,
     serialize_graph6,
@@ -152,3 +153,24 @@ class TestRoots:
             parse_roots("a:1")
         with pytest.raises(ParseError):
             parse_roots('{"a": [], "b1": 0}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": "12", "b1": 0, "b2": 3}',
+            '{"a": [1.7], "b1": 0, "b2": 3}',
+            '{"a": [1], "b1": true, "b2": 3}',
+            '{"a": [1], "b1": "0", "b2": 3}',
+            '{"a": [1], "b1": 0, "b2": 3.0}',
+        ],
+    )
+    def test_json_ids_must_be_integers(self, text):
+        with pytest.raises(ParseError):
+            parse_roots(text)
+
+    def test_vertex_list(self):
+        assert parse_vertex_list("") == ()
+        assert parse_vertex_list("3,1,2") == (3, 1, 2)
+        for text in ("x", "0,y", "1,", ","):
+            with pytest.raises(ParseError):
+                parse_vertex_list(text)
