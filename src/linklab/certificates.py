@@ -12,7 +12,9 @@ Two certificate flavors share one report shape:
 All bound arithmetic is done in doubled integers so the half-integer terms
 stay exact.  ``search_collection`` is an exhaustive family search over
 connected candidate members: splitting a member into its components never
-weakens a certificate, so the restriction loses nothing.
+weakens a certificate, so the restriction loses nothing.  The candidates
+are found as components left by deleting at most ``cap`` vertices, so their
+enumeration is polynomial for a fixed cap.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from .graphs import (
     bits_of,
     component_mask,
     components_masks,
-    is_connected_set,
     mask_of,
     neighborhood,
+    neighborhood_mask,
 )
 
 CertificateKind = Literal["linkage", "critical"]
@@ -197,24 +199,32 @@ def critical_base_collection(rg: RootedGraph, u_set: Iterable[int]) -> Collectio
 def _candidate_members(
     g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock
 ) -> list[frozenset[int]]:
-    """All connected vertex sets avoiding ``forbidden`` with small neighborhoods,
-    in (size, lexicographic) order.  Every subset tried ticks ``clock``."""
-    allowed = [v for v in range(g.vertex_count) if v not in forbidden]
-    out = []
-    for size in range(1, len(allowed) + 1):
-        for combo in itertools.combinations(allowed, size):
+    """All connected vertex sets avoiding ``forbidden`` with at most ``cap``
+    neighbors, in (size, lexicographic) order.
+
+    Such a set ``C`` is a component of ``G[allowed] - Y`` for
+    ``Y = N(C) & allowed``, a set of at most ``cap`` allowed vertices, so the
+    search runs over those separators ``Y`` only.  Every separator tried
+    ticks ``clock``."""
+    adj = g.adjacency_masks
+    allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
+    allowed_vertices = bits_of(allowed)
+    found: set[int] = set()
+    for size in range(cap + 1):
+        for separator in itertools.combinations(allowed_vertices, size):
             clock.tick()
-            member = frozenset(combo)
-            if is_connected_set(g, member) and len(neighborhood(g, member)) <= cap:
-                out.append(member)
-    return out
+            for comp in components_masks(adj, allowed & ~mask_of(separator)):
+                if comp not in found and bin(neighborhood_mask(adj, comp)).count("1") <= cap:
+                    found.add(comp)
+    members = [frozenset(bits_of(comp)) for comp in found]
+    return sorted(members, key=lambda member: (len(member), sorted(member)))
 
 
 def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
     order with the empty collection first.  The precomputation ticks
-    ``clock`` per candidate subset and per compatibility row."""
+    ``clock`` per candidate separator and per compatibility row."""
     yield Collection()
     candidates = _candidate_members(g, forbidden, cap, clock)
     closed = [member | neighborhood(g, member) for member in candidates]

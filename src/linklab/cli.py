@@ -141,7 +141,7 @@ def _cmd_removable(args) -> int:
 def _cmd_critical(args) -> int:
     rg = _load_rooted(args)
     u_set = frozenset(parse_vertex_list(args.u))
-    answer = is_critically_feasible(rg, u_set)
+    answer = is_critically_feasible(rg, u_set, _budget(args))
     _emit({"command": "critical", "u": sorted(u_set), "critically_feasible": answer},
           [f"critically feasible for U={sorted(u_set)}: {answer}"], args)
     return 0

@@ -3,8 +3,8 @@
 A rooted graph ``(G, {a_1..a_m}, b1, b2)`` is *feasible* when ``G`` has a
 ``b1``-``b2`` path ``P`` with all ``a_i`` inside a single component of
 ``G - P``.  ``find_linkage_pair`` decides this by exhaustive DFS over
-``b1``-``b2`` paths with two conservative prunes, so a ``None`` answer is a
-proof of infeasibility.  ``removable_path`` upgrades a linkage path to one
+induced ``b1``-``b2`` paths with conservative prunes, so a ``None`` answer
+is a proof of infeasibility.  ``removable_path`` upgrades a linkage path to one
 whose removal leaves the graph connected, by repeatedly absorbing the
 smallest leftover component; the component-size vector increases strictly
 in lexicographic order at every step, which bounds the iteration count.
@@ -27,6 +27,7 @@ from .graphs import (
     components_masks,
     is_connected_set,
     mask_of,
+    neighborhood_mask,
 )
 
 
@@ -96,13 +97,16 @@ def _search_linkage(
     banned: int,
     clock: _BudgetClock,
 ) -> tuple[int, list[int]] | None:
-    """DFS over b1-b2 paths avoiding ``banned`` and the ``a_i``.
+    """DFS over induced b1-b2 paths avoiding ``banned`` and the ``a_i``.
 
     Returns ``(a_component_mask, path)`` on success, ``None`` after the
-    search space is exhausted.  Two prunes are applied, both conservative:
-    deleting vertices never merges components, so a partial path that
-    already separates the ``a_i``, or cuts its own endpoint off from ``b2``,
-    can never be completed.
+    search space is exhausted.  Three prunes are applied, none of which
+    loses a witness.  Deleting vertices never merges components, so a
+    partial path that already separates the ``a_i``, or cuts its own
+    endpoint off from ``b2``, can never be completed.  And a vertex adjacent
+    to the path before its end is skipped: the shortest path inside a
+    witness's own vertex set is induced, and it only merges components of
+    ``G - P``, so it is a witness too.
     """
     adj = g.adjacency_masks
     full = (1 << g.vertex_count) - 1
@@ -122,6 +126,8 @@ def _search_linkage(
         if v < 0:
             iters.pop()
             on_path &= ~(1 << path.pop())
+            continue
+        if adj[v] & on_path & ~(1 << path[-1]):
             continue
         clock.tick()
         new_on = on_path | 1 << v
@@ -165,11 +171,6 @@ def is_feasible(rg: RootedGraph) -> bool:
     return find_linkage_pair(rg) is not None
 
 
-def _feasible_without(rg: RootedGraph, banned: int) -> bool:
-    clock = _BudgetClock(EXHAUSTIVE)
-    return _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, banned, clock) is not None
-
-
 def _pinned_set(rg: RootedGraph, u_set: Iterable[int]) -> frozenset[int]:
     """``u_set`` as a frozenset, checked to hold only non-root vertices of ``rg``."""
     u_set = frozenset(u_set)
@@ -180,18 +181,24 @@ def _pinned_set(rg: RootedGraph, u_set: Iterable[int]) -> frozenset[int]:
     return u_set
 
 
-def is_critically_feasible(rg: RootedGraph, u_set: frozenset[int] | set[int]) -> bool:
+def is_critically_feasible(
+    rg: RootedGraph, u_set: frozenset[int] | set[int], budget: SearchBudget = EXHAUSTIVE
+) -> bool:
     """Whether ``rg`` is feasible and every linkage path must pass through ``u_set``.
 
     Decided through the deletion form: feasible, and deleting any single
     ``u`` destroys feasibility.  For ``m <= 1`` this provably coincides with
     the every-linkage-path reading; an empty ``u_set`` reduces to plain
-    feasibility.
+    feasibility.  One ``budget`` covers all the searches; raises
+    :class:`SearchBudgetExceeded` when it runs out.
     """
     u_set = _pinned_set(rg, u_set)
-    if not is_feasible(rg):
-        return False
-    return all(not _feasible_without(rg, 1 << u) for u in sorted(u_set))
+    clock = _BudgetClock(budget)
+
+    def feasible_without(banned: int) -> bool:
+        return _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, banned, clock) is not None
+
+    return feasible_without(0) and not any(feasible_without(1 << u) for u in sorted(u_set))
 
 
 def _bfs_path(adj: tuple[int, ...], alive: int, start: int, goal: int) -> list[int] | None:
@@ -286,7 +293,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
     if pair is None:
         return RemovableReport(None, "infeasible", 0)
     clock = _BudgetClock(budget)
-    b_path = _induced_shortcut(g, pair.b_path)
+    b_path = pair.b_path
     anchor = 1 << rg.a_set[0] if rg.a_set else 0
     history: list[tuple[int, ...]] = []
     iterations = 0
@@ -304,12 +311,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
             return RemovableReport(b_path, None, iterations, tuple(history))
 
         last = comps[-1]
-        boundary = 0
-        m = last
-        while m:
-            low = m & -m
-            boundary |= adj[low.bit_length() - 1]
-            m ^= low
+        boundary = neighborhood_mask(adj, last)
         attach = [v for v in b_path.vertices if boundary >> v & 1]
         if len(attach) < 2:
             return RemovableReport(None, "single-attachment-component", iterations, tuple(history))

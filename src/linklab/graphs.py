@@ -281,6 +281,17 @@ def components_masks(adj: tuple[int, ...], alive: int) -> list[int]:
     return out
 
 
+def neighborhood_mask(adj: tuple[int, ...], s: int) -> int:
+    """Vertices outside the mask ``s`` adjacent to some vertex of ``s``, as a bitmask."""
+    out = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        out |= adj[low.bit_length() - 1]
+        rest ^= low
+    return out & ~s
+
+
 # ---------------------------------------------------------------------------
 # Operations.
 

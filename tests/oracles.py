@@ -159,6 +159,32 @@ def brute_collection_valid(g: Graph, members: list[frozenset[int]], forbidden: s
     return True
 
 
+def brute_candidate_members(g: Graph, forbidden: set[int], cap: int) -> list[frozenset[int]]:
+    """Every connected vertex set avoiding ``forbidden`` with at most ``cap``
+    neighbours, found by testing every subset of the other vertices, in
+    (size, lexicographic) order."""
+    adj = _adjacency(g)
+    allowed = [v for v in range(g.vertex_count) if v not in forbidden]
+    out = []
+    for size in range(1, len(allowed) + 1):
+        for combo in itertools.combinations(allowed, size):
+            member = set(combo)
+            neighbours: set[int] = set()
+            for v in combo:
+                neighbours |= adj[v]
+            if len(neighbours - member) > cap:
+                continue
+            reached = {combo[0]}
+            stack = [combo[0]]
+            while stack:
+                for y in adj[stack.pop()] & member - reached:
+                    reached.add(y)
+                    stack.append(y)
+            if reached == member:
+                out.append(frozenset(member))
+    return out
+
+
 def brute_certificate(
     rg: RootedGraph, members: list[frozenset[int]], kind: str, u_count: int = 0
 ) -> tuple[int, int, bool]:

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for graphs, rooted graphs, and collections."""
+"""Hypothesis strategies for graphs, rooted graphs, and collections, plus the
+named ``trigrid`` family."""
 
 from __future__ import annotations
 
@@ -59,3 +60,25 @@ def collections_in(draw, g: Graph, forbidden: frozenset[int] = frozenset()):
         members.append(frozenset(member))
         blocked |= member | closed_neighborhood(g, member)
     return Collection(members)
+
+
+def trigrid(r: int, c: int, k: int) -> RootedGraph:
+    """The r x c grid with right, down and down-right edges, plus a K_k clump
+    joined to the triangle {(1,1), (1,2), (2,2)}; a = (top-left,
+    bottom-right), b = (top-right, bottom-left).  Infeasible, and the empty
+    collection does not certify it, so certificate searches must enumerate
+    candidate members."""
+    edges = []
+    for i, j in itertools.product(range(r), range(c)):
+        v = i * c + j
+        if j + 1 < c:
+            edges.append((v, v + 1))
+        if i + 1 < r:
+            edges.append((v, v + c))
+        if i + 1 < r and j + 1 < c:
+            edges.append((v, v + c + 1))
+    clump = range(r * c, r * c + k)
+    edges.extend(itertools.combinations(clump, 2))
+    edges.extend((t, x) for x in clump for t in (c + 1, c + 2, 2 * c + 2))
+    g = Graph.from_edges(r * c + k, edges)
+    return RootedGraph(g, (0, r * c - 1), c - 1, (r - 1) * c)

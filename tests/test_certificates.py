@@ -23,8 +23,8 @@ from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudg
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, neighborhood
 from linklab.planarity import find_seymour_certificate
-from oracles import brute_certificate, naive_is_feasible
-from strategies import collections_in, rooted_graphs
+from oracles import brute_candidate_members, brute_certificate, naive_is_feasible
+from strategies import collections_in, rooted_graphs, trigrid
 
 
 class TestVerifyLinkage:
@@ -215,6 +215,20 @@ class TestSearchCollection:
                 clock = _BudgetClock(EXHAUSTIVE)
                 assert _candidate_members(rg.graph, rg.roots, rg.m + 1, clock) == []
 
+    def test_candidate_members_match_brute_force(self):
+        # Every graph with n <= 7, every forbidden set of 2-4 vertices, and
+        # the caps |forbidden| - 1 and |forbidden|: the separator enumeration
+        # lists exactly the sets the every-subset oracle accepts, in order.
+        from linklab.harness import small_graphs
+
+        for g in small_graphs(7):
+            for size in (2, 3, 4):
+                for forbidden in itertools.combinations(range(g.vertex_count), size):
+                    for cap in (size - 1, size):
+                        clock = _BudgetClock(EXHAUSTIVE)
+                        got = _candidate_members(g, frozenset(forbidden), cap, clock)
+                        assert got == brute_candidate_members(g, set(forbidden), cap)
+
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         rg = RootedGraph(g, (4,), 0, 2)
@@ -264,28 +278,6 @@ class TestSearchCollection:
                 assert (found is not None) == any_passes
 
 
-def trigrid(r: int, c: int, k: int) -> RootedGraph:
-    """The r x c grid with right, down and down-right edges, plus a K_k clump
-    joined to the triangle {(1,1), (1,2), (2,2)}; a = (top-left,
-    bottom-right), b = (top-right, bottom-left).  Infeasible, and the empty
-    collection does not certify it, so certificate searches must enumerate
-    candidate members."""
-    edges = []
-    for i, j in itertools.product(range(r), range(c)):
-        v = i * c + j
-        if j + 1 < c:
-            edges.append((v, v + 1))
-        if i + 1 < r:
-            edges.append((v, v + c))
-        if i + 1 < r and j + 1 < c:
-            edges.append((v, v + c + 1))
-    clump = range(r * c, r * c + k)
-    edges.extend(itertools.combinations(clump, 2))
-    edges.extend((t, x) for x in clump for t in (c + 1, c + 2, 2 * c + 2))
-    g = Graph.from_edges(r * c + k, edges)
-    return RootedGraph(g, (0, r * c - 1), c - 1, (r - 1) * c)
-
-
 @pytest.mark.parametrize(
     "search",
     [lambda rg, b: search_collection(rg, "linkage", budget=b), find_seymour_certificate],
@@ -297,9 +289,9 @@ def trigrid(r: int, c: int, k: int) -> RootedGraph:
     ids=["nodes", "time"],
 )
 def test_budget_bounds_candidate_enumeration(search, budget):
-    # 15 non-root vertices: 2^15 candidate subsets precede the first
-    # nonempty family, far beyond either budget.
-    rg = trigrid(3, 5, 4)
+    # 38 non-root vertices: the 9,178 separators of at most 3 of them precede
+    # the first nonempty family, far more than 1,000 nodes or 10 ms of work.
+    rg = trigrid(6, 6, 6)
     with pytest.raises(SearchBudgetExceeded):
         search(rg, budget)
 

@@ -147,6 +147,17 @@ def test_budget_exhausted_exit_code(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "budget-exhausted"
 
 
+def test_critical_budget_exhausted_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "4 4\n0 1\n0 3\n1 2\n2 3\n")
+    argv = ["critical", "-i", path, "--roots", "b:0,2", "--u", "1"]
+    code, out, _ = run(capsys, argv + ["--budget-nodes", "1"])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["critically_feasible"] is False
+
+
 def test_fuzz_campaign_deterministic_output(capsys):
     argv = ["fuzz", "--campaign", "feasibility", "--seed", "5", "--trials", "5",
             "--n-min", "6", "--n-max", "7", "--m", "1"]

@@ -21,7 +21,7 @@ from oracles import (
     naive_is_critically_feasible,
     naive_is_feasible,
 )
-from strategies import graphs, rooted_graphs
+from strategies import graphs, rooted_graphs, trigrid
 
 
 class TestFindLinkagePair:
@@ -54,6 +54,22 @@ class TestFindLinkagePair:
         rg = RootedGraph(Graph.complete(8), (0, 1), 2, 7)
         with pytest.raises(SearchBudgetExceeded):
             find_linkage_pair(rg, SearchBudget(max_nodes_expanded=2))
+
+    def test_induced_prune_finishes_trigrid(self):
+        # n = 26: the search over all b1-b2 paths runs past this budget, the
+        # search over induced paths proves infeasibility well inside it.
+        assert find_linkage_pair(trigrid(4, 5, 6), SearchBudget(max_nodes_expanded=5_000)) is None
+
+    @given(rooted_graphs(max_m=3, max_n=8))
+    @settings(max_examples=300)
+    def test_witness_path_is_induced(self, rg):
+        pair = find_linkage_pair(rg)
+        if pair is not None:
+            path = pair.b_path.vertices
+            chords = {
+                (u, v) for i, u in enumerate(path) for v in path[i + 2:] if rg.graph.has_edge(u, v)
+            }
+            assert not chords
 
     def test_budget_must_be_positive(self):
         with pytest.raises(InvalidInputError):
