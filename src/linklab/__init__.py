@@ -47,7 +47,6 @@ from .graphs import (
     components,
     contract_collection,
     neighborhood,
-    normalize_connected,
     validate_collection,
 )
 from .harness import (

@@ -38,12 +38,11 @@ from .graphs import (
     Collection,
     Graph,
     RootedGraph,
-    augment_rooted,
+    augment_masks,
     bits_of,
     component_mask,
     components_masks,
     mask_of,
-    neighborhood,
     neighborhood_mask,
 )
 
@@ -130,12 +129,12 @@ def _verify_collection(
     forbidden: frozenset[int],
     rhs_offset_doubled: int,
 ) -> CertificateReport:
-    """The check both kinds share: validate, contract and augment ``x`` once,
-    then test ``2e <= 2 * cap * v - rhs_offset_doubled``."""
-    augmented = augment_rooted(rg, x, forbidden)
-    lhs = 2 * augmented.edge_count
-    rhs = 2 * cap * augmented.vertex_count - rhs_offset_doubled
-    holds = all(len(neighborhood(rg.graph, member)) <= cap for member in x) and lhs <= rhs
+    """The check both kinds share: contract and augment ``x`` once on
+    adjacency masks, then test ``2e <= 2 * cap * v - rhs_offset_doubled``."""
+    rows, neighborhoods = augment_masks(rg, x, forbidden)
+    lhs = sum(row.bit_count() for row in rows.values())
+    rhs = 2 * cap * len(rows) - rhs_offset_doubled
+    holds = all(nbhd.bit_count() <= cap for nbhd in neighborhoods) and lhs <= rhs
     return CertificateReport(kind, x, cap, lhs, rhs, holds)
 
 
@@ -198,9 +197,10 @@ def critical_base_collection(rg: RootedGraph, u_set: Iterable[int]) -> Collectio
 
 def _candidate_members(
     g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock
-) -> list[frozenset[int]]:
+) -> list[tuple[int, int]]:
     """All connected vertex sets avoiding ``forbidden`` with at most ``cap``
-    neighbors, in (size, lexicographic) order.
+    neighbors, as ``(member, neighborhood)`` mask pairs in (size,
+    lexicographic) order of the members.
 
     Such a set ``C`` is a component of ``G[allowed] - Y`` for
     ``Y = N(C) & allowed``, a set of at most ``cap`` allowed vertices, so the
@@ -209,15 +209,16 @@ def _candidate_members(
     adj = g.adjacency_masks
     allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
     allowed_vertices = bits_of(allowed)
-    found: set[int] = set()
+    found: dict[int, int] = {}
     for size in range(cap + 1):
         for separator in itertools.combinations(allowed_vertices, size):
             clock.tick()
             for comp in components_masks(adj, allowed & ~mask_of(separator)):
-                if comp not in found and bin(neighborhood_mask(adj, comp)).count("1") <= cap:
-                    found.add(comp)
-    members = [frozenset(bits_of(comp)) for comp in found]
-    return sorted(members, key=lambda member: (len(member), sorted(member)))
+                if comp not in found:
+                    nbhd = neighborhood_mask(adj, comp)
+                    if nbhd.bit_count() <= cap:
+                        found[comp] = nbhd
+    return sorted(found.items(), key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
 
 
 def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
@@ -226,15 +227,15 @@ def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _Budg
     order with the empty collection first.  The precomputation ticks
     ``clock`` per candidate separator and per compatibility row."""
     yield Collection()
-    candidates = _candidate_members(g, forbidden, cap, clock)
-    closed = [member | neighborhood(g, member) for member in candidates]
+    pairs = _candidate_members(g, forbidden, cap, clock)
+    candidates = [frozenset(bits_of(member)) for member, _ in pairs]
     k = len(candidates)
     compatible = []
-    for i in range(k):
+    for member, nbhd in pairs:
         clock.tick()
-        compatible.append(
-            [not (closed[i] & candidates[j] or closed[j] & candidates[i]) for j in range(k)]
-        )
+        # Two members are compatible when neither meets the other's closed
+        # neighborhood; the relation is symmetric, so one test suffices.
+        compatible.append([not (member | nbhd) & other for other, _ in pairs])
 
     def rec(prefix: tuple[int, ...], start: int):
         for i in range(start, k):

@@ -9,6 +9,7 @@ level); ``--pretty`` switches to a short human-readable rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -109,11 +110,14 @@ def _cmd_certify(args) -> int:
 def _cmd_removable(args) -> int:
     rg = _load_rooted(args)
     warnings = []
-    connectivity = None
+    guaranteed = False
     if args.k_check:
         connectivity = vertex_connectivity(rg.graph)
         needed = 2 * rg.m + 2
-        if connectivity < needed:
+        guaranteed = rg.m >= 1 and connectivity >= needed
+        if rg.m == 0:
+            warnings.append("success is not guaranteed at m = 0, whatever the connectivity")
+        elif connectivity < needed:
             warnings.append(
                 f"connectivity {connectivity} is below {needed}; success is not guaranteed"
             )
@@ -133,7 +137,7 @@ def _cmd_removable(args) -> int:
         lines = [f"failed: {report.failure}"]
     lines.extend(warnings)
     _emit(payload, lines, args)
-    if not report.ok and connectivity is not None and connectivity >= 2 * rg.m + 2:
+    if not report.ok and guaranteed:
         return 1
     return 0
 
@@ -206,7 +210,9 @@ def _add_budget_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-ms", type=int, default=2**62)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``linklab`` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(prog="linklab",
                                      description="Rooted-graph linkage feasibility toolkit")
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
@@ -237,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(sub, roots=True)
     _add_budget_options(sub)
     sub.add_argument("--k-check", action="store_true",
-                     help="warn when connectivity is below 2m+2 (still attempts)")
+                     help="warn when success is not guaranteed: m = 0 or connectivity "
+                          "below 2m+2 (still attempts)")
     sub.set_defaults(func=_cmd_removable)
 
     sub = add_command("critical", "critical feasibility for a pinned set")

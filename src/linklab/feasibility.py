@@ -256,14 +256,6 @@ class RemovableReport:
         return self.path is not None
 
 
-def _induced_shortcut(g: Graph, path: Path) -> Path:
-    """Shortest (hence induced) path between the ends inside ``G[V(path)]``."""
-    alive = mask_of(path.vertices)
-    start, goal = path.ends
-    short = _bfs_path(g.adjacency_masks, alive, start, goal)
-    return Path(short)
-
-
 def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[int]:
     """Components of ``alive``: the one meeting the ``anchor`` mask first, then
     by decreasing size and lowest vertex."""
@@ -282,18 +274,21 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
     attachments ``u1, u2`` on ``B`` span a maximal interval, some interior
     vertex of that interval must attach to an earlier component (else there
     is no legal move and a failure report says so), and the interval is
-    replaced by an induced detour through the absorbed component.  Success
-    is guaranteed on ``(2m+2)``-connected graphs; elsewhere the procedure
-    reports the first step with no legal move.
+    replaced by an induced detour through the absorbed component.  For
+    ``m >= 1``, success is guaranteed on ``(2m+2)``-connected graphs; at
+    ``m = 0`` no connectivity suffices (in ``K_{2,3}`` with ``b1, b2`` on the
+    2-side every path leaves two components).  Without the guarantee the
+    procedure reports the first step with no legal move.  One ``budget``
+    covers the linkage search and the improvement loop.
     """
     g = rg.graph
     adj = g.adjacency_masks
     full = (1 << g.vertex_count) - 1
-    pair = find_linkage_pair(rg, budget)
-    if pair is None:
-        return RemovableReport(None, "infeasible", 0)
     clock = _BudgetClock(budget)
-    b_path = pair.b_path
+    found = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, clock)
+    if found is None:
+        return RemovableReport(None, "infeasible", 0)
+    b_path = Path(found[1])
     anchor = 1 << rg.a_set[0] if rg.a_set else 0
     history: list[tuple[int, ...]] = []
     iterations = 0
@@ -333,5 +328,6 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
         i2 = b_path.vertices.index(u2)
         rerouted = Path(b_path.vertices[: i1 + 1] + tuple(detour[1:-1]) + b_path.vertices[i2:])
         rerouted.validate_in(g)
-        b_path = _induced_shortcut(g, rerouted)
+        # The shortest path inside the rerouted one is induced.
+        b_path = Path(_bfs_path(adj, mask_of(rerouted.vertices), rg.b1, rg.b2))
         iterations += 1

@@ -4,13 +4,13 @@ Everything here is an immutable value: graphs, rooted graphs, vertex-set
 collections and paths are all frozen after construction, and every operation
 is a pure function.  Vertex ids are dense integers ``0..n-1``.
 
-The two contraction operators are the heart of the module:
-
-* ``contract_collection`` deletes each member of a collection and adds a
-  clique on its neighborhood, returning the contracted graph together with
-  the relabeling map for the surviving vertices.
-* ``augment_rooted`` additionally joins every pair of root vertices except
-  the distinguished pair ``(b1, b2)``.
+Algorithms read adjacency bitmasks (``Graph.adjacency_masks``) and vertex
+sets as masks.  The contraction is the heart of the module:
+``contract_masks`` deletes each member of a collection and ORs a clique on
+its neighborhood into the surviving adjacency rows, and ``augment_masks``
+also joins every root pair except ``(b1, b2)``.  Certificate checks count
+these rows; ``contract_collection`` and ``augment_rooted`` turn them into a
+``Graph``, which only planarity testing needs.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighborhoods as bitmasks; the workhorse for search code."""
         masks = [0] * self.vertex_count
@@ -93,7 +85,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adjacency[v])
+        return self.adjacency_masks[v].bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -300,15 +292,7 @@ def neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
     s = frozenset(s)
     for v in s:
         g._check_vertex(v)
-    out: set[int] = set()
-    for v in s:
-        out |= g.adjacency[v]
-    return frozenset(out - s)
-
-
-def closed_neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    s = frozenset(s)
-    return neighborhood(g, s) | s
+    return frozenset(bits_of(neighborhood_mask(g.adjacency_masks, mask_of(s))))
 
 
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
@@ -329,75 +313,91 @@ def components(g: Graph) -> list[frozenset[int]]:
     return [frozenset(bits_of(m)) for m in components_masks(g.adjacency_masks, alive)]
 
 
-def validate_collection(g: Graph, x: Collection, forbidden: Iterable[int] = ()) -> None:
+def validate_collection(
+    g: Graph, x: Collection, forbidden: Iterable[int] = ()
+) -> list[tuple[int, int]]:
     """Raise unless ``x`` is a valid collection avoiding ``forbidden``.
 
     Validity means: every member is a set of vertices of ``g`` disjoint from
     ``forbidden``, and for distinct members the closed neighborhood of one
-    never meets the other.
+    never meets the other (a relation that is symmetric).  Returns the
+    ``(member, neighborhood)`` mask pair of every member, in collection order.
     """
-    forbidden = frozenset(forbidden)
-    closed = []
+    adj = g.adjacency_masks
+    forbidden_mask = mask_of(forbidden)
+    masks = []
     for member in x.members:
-        for v in member:
-            g._check_vertex(v)
-        hit = member & forbidden
-        if hit:
-            raise InvalidCollectionError(f"member {sorted(member)} intersects forbidden set at {sorted(hit)}")
-        closed.append(closed_neighborhood(g, member))
-    for i, j in itertools.combinations(range(len(x.members)), 2):
-        if closed[i] & x.members[j] or closed[j] & x.members[i]:
+        g._check_vertex(min(member))
+        g._check_vertex(max(member))
+        mask = mask_of(member)
+        if mask & forbidden_mask:
+            hit = bits_of(mask & forbidden_mask)
+            raise InvalidCollectionError(f"member {sorted(member)} intersects forbidden set at {hit}")
+        masks.append((mask, neighborhood_mask(adj, mask)))
+    for (i, (mask_i, nbhd_i)), (j, (mask_j, _)) in itertools.combinations(enumerate(masks), 2):
+        if (mask_i | nbhd_i) & mask_j:
             raise InvalidCollectionError(
                 f"members {sorted(x.members[i])} and {sorted(x.members[j])} touch each other"
             )
+    return masks
 
 
-def normalize_connected(g: Graph, x: Collection) -> Collection:
-    """Split every member into the vertex sets of its components.
+def contract_masks(
+    g: Graph, x: Collection, forbidden: Iterable[int] = ()
+) -> tuple[dict[int, int], list[int]]:
+    """Delete each member of ``x`` and add a clique on its neighborhood.
 
-    Splitting preserves collection validity, never increases any member
-    neighborhood and never adds contracted edges, so certificate predicates
-    are preserved.  The library accepts both forms; this helper converts to
-    the all-connected one.
+    Returns the adjacency row of every surviving vertex, keyed by its id in
+    ``g`` in increasing order, and each member's neighborhood mask in ``g``.
+    Raises :class:`InvalidCollectionError` if ``x`` violates the collection
+    invariant in ``g`` or meets ``forbidden``.
     """
-    out: list[frozenset[int]] = []
-    for member in x.members:
-        alive = mask_of(member)
-        out.extend(frozenset(bits_of(c)) for c in components_masks(g.adjacency_masks, alive))
-    return Collection(out)
+    members = validate_collection(g, x, forbidden)
+    kept = (1 << g.vertex_count) - 1
+    for mask, _ in members:
+        kept &= ~mask
+    rows = {v: row & kept for v, row in enumerate(g.adjacency_masks) if kept >> v & 1}
+    for _, nbhd in members:
+        for u in bits_of(nbhd):
+            rows[u] |= nbhd & ~(1 << u)
+    return rows, [nbhd for _, nbhd in members]
+
+
+def augment_masks(
+    rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()
+) -> tuple[dict[int, int], list[int]]:
+    """:func:`contract_masks` for ``x``, which must avoid the roots and
+    ``forbidden``, plus all edges among roots except ``b1 b2``."""
+    rows, neighborhoods = contract_masks(rg.graph, x, rg.roots | frozenset(forbidden))
+    roots = mask_of(rg.roots)
+    b_pair = 1 << rg.b1 | 1 << rg.b2
+    for r in rg.roots:
+        joined = roots & ~b_pair if b_pair >> r & 1 else roots
+        rows[r] |= joined & ~(1 << r)
+    return rows, neighborhoods
+
+
+def _graph_of_rows(rows: dict[int, int]) -> tuple[Graph, dict[int, int]]:
+    """The graph on dense ids with the given adjacency rows, plus the map from
+    row keys to new ids."""
+    relabel = {v: i for i, v in enumerate(rows)}
+    edges = frozenset(
+        (relabel[v], relabel[w]) for v, row in rows.items() for w in bits_of(row) if w > v
+    )
+    return Graph(len(relabel), edges), relabel
 
 
 def contract_collection(
     g: Graph, x: Collection, forbidden: Iterable[int] = ()
 ) -> tuple[Graph, dict[int, int]]:
-    """Delete each member and add a clique on its neighborhood.
-
-    Returns the contracted graph plus the map from surviving old ids to new
-    dense ids.  Raises :class:`InvalidCollectionError` if ``x`` violates the
-    collection invariant in ``g`` or meets ``forbidden``.
-    """
-    validate_collection(g, x, forbidden)
-    removed = x.support
-    survivors = [v for v in range(g.vertex_count) if v not in removed]
-    relabel = {v: i for i, v in enumerate(survivors)}
-    new_edges: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if u in relabel and v in relabel:
-            new_edges.add((relabel[u], relabel[v]))
-    for member in x.members:
-        boundary = sorted(relabel[v] for v in neighborhood(g, member))
-        new_edges.update(itertools.combinations(boundary, 2))
-    return Graph(len(survivors), frozenset(new_edges)), relabel
+    """:func:`contract_masks` as a graph, plus the map from surviving old ids
+    to new dense ids."""
+    return _graph_of_rows(contract_masks(g, x, forbidden)[0])
 
 
 def augment_rooted(rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()) -> Graph:
-    """The contraction of ``x``, which must avoid the roots and ``forbidden``,
-    plus all edges among roots except ``b1 b2``; no vertex is added."""
-    contracted, relabel = contract_collection(rg.graph, x, rg.roots | frozenset(forbidden))
-    new_roots = sorted(relabel[r] for r in rg.roots)
-    banned = tuple(sorted((relabel[rg.b1], relabel[rg.b2])))
-    extra = [e for e in itertools.combinations(new_roots, 2) if e != banned]
-    return contracted.add_edges(extra)
+    """:func:`augment_masks` as a graph on dense ids."""
+    return _graph_of_rows(augment_masks(rg, x, forbidden)[0])[0]
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -410,8 +410,3 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
         (relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel
     )
     return Graph(len(keep), edges), relabel
-
-
-def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    drop = set(drop)
-    return induced_subgraph(g, (v for v in range(g.vertex_count) if v not in drop))

@@ -18,7 +18,7 @@ import networkx as nx
 from .certificates import iter_collections
 from .errors import InvalidInputError
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
-from .graphs import Collection, Graph, RootedGraph, augment_rooted, contract_collection, neighborhood
+from .graphs import Collection, Graph, RootedGraph, augment_masks, contract_collection, neighborhood
 
 
 @dataclass(frozen=True)
@@ -109,5 +109,5 @@ def seymour_edge_bound(rg: RootedGraph, x: Collection) -> bool:
     """
     if not check_seymour_certificate(rg, x):
         raise InvalidInputError("edge bound requires a valid planar certificate")
-    augmented = augment_rooted(rg, x)
-    return augmented.edge_count <= 3 * augmented.vertex_count - 6
+    rows, _ = augment_masks(rg, x)
+    return sum(row.bit_count() for row in rows.values()) <= 2 * (3 * len(rows) - 6)

@@ -7,7 +7,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from linklab.graphs import Collection, Graph, RootedGraph, closed_neighborhood
+from linklab.graphs import Collection, Graph, RootedGraph, neighborhood
 
 
 @st.composite
@@ -51,14 +51,14 @@ def collections_in(draw, g: Graph, forbidden: frozenset[int] = frozenset()):
         member = {seed}
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
             frontier = sorted(
-                v for v in closed_neighborhood(g, member)
+                v for v in member | neighborhood(g, member)
                 if v not in blocked and v not in forbidden
             )
             if not frontier:
                 break
             member.add(draw(st.sampled_from(frontier)))
         members.append(frozenset(member))
-        blocked |= member | closed_neighborhood(g, member)
+        blocked |= member | neighborhood(g, member)
     return Collection(members)
 
 

@@ -14,6 +14,7 @@ from linklab.certificates import (
     critical_base_collection,
     gmk_audit,
     gmk_graph,
+    iter_collections,
     search_collection,
     theorem_check,
     verify_critical_collection,
@@ -21,7 +22,7 @@ from linklab.certificates import (
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, neighborhood
+from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, neighborhood
 from linklab.planarity import find_seymour_certificate
 from oracles import brute_candidate_members, brute_certificate, naive_is_feasible
 from strategies import collections_in, rooted_graphs, trigrid
@@ -123,6 +124,30 @@ def test_verify_matches_brute_force_arithmetic(rg, data):
     assert (critical.lhs_edges_doubled, critical.rhs_bound_doubled, critical.holds) == (
         brute_certificate(rg, members, "critical", len(u_set))
     )
+
+
+def test_verify_matches_brute_force_exhaustively():
+    # Every graph with n <= 6, every root placement at m = 0, 1, 2 and every
+    # collection the certificate search can try at cap m + 2: both checks
+    # agree with the from-the-definition count.
+    from linklab.harness import rooted_instances, small_graphs
+
+    checked = 0
+    for m in (0, 1, 2):
+        for g in small_graphs(6, m + 2):
+            for rg in rooted_instances(g, m):
+                for x in iter_collections(g, rg.roots, m + 2, _BudgetClock(EXHAUSTIVE)):
+                    members = list(x)
+                    linkage = verify_linkage_collection(rg, x)
+                    assert (linkage.lhs_edges_doubled, linkage.rhs_bound_doubled, linkage.holds) == (
+                        brute_certificate(rg, members, "linkage")
+                    )
+                    critical = verify_critical_collection(rg, (), x)
+                    assert (critical.lhs_edges_doubled, critical.rhs_bound_doubled, critical.holds) == (
+                        brute_certificate(rg, members, "critical")
+                    )
+                    checked += 1
+    assert checked == 143_677
 
 
 class TestBaseCaseCollection:
@@ -227,7 +252,10 @@ class TestSearchCollection:
                     for cap in (size - 1, size):
                         clock = _BudgetClock(EXHAUSTIVE)
                         got = _candidate_members(g, frozenset(forbidden), cap, clock)
-                        assert got == brute_candidate_members(g, set(forbidden), cap)
+                        members = [frozenset(bits_of(member)) for member, _ in got]
+                        assert members == brute_candidate_members(g, set(forbidden), cap)
+                        for member, (_, nbhd) in zip(members, got):
+                            assert frozenset(bits_of(nbhd)) == neighborhood(g, member)
 
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])

@@ -58,6 +58,17 @@ def test_removable_k_check_warns_but_attempts(tmp_path, capsys):
     assert any("below 6" in w for w in payload["warnings"])
 
 
+def test_removable_m_zero_is_not_a_claim_violation(tmp_path, capsys):
+    # K_{2,3} is 2-connected, but with b1, b2 on the 2-side every b1-b2 path
+    # leaves two components: at m = 0 no connectivity guarantees success.
+    path = write(tmp_path, "5 6\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n")
+    code, out, _ = run(capsys, ["removable", "-i", path, "--roots", "b:0,1", "--k-check"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["outcome"] == "failure"
+    assert any("m = 0" in w for w in payload["warnings"])
+
+
 def test_critical_subcommand(tmp_path, capsys):
     path = write(tmp_path, PATH3)
     code, out, _ = run(capsys, ["critical", "-i", path, "--roots", "b:0,2", "--u", "1"])
@@ -188,6 +199,21 @@ def test_pretty_output(tmp_path, capsys):
     code, out, _ = run(capsys, ["--pretty", "feasible", "-i", path, "--roots", "a:1 b:0,2"])
     assert code == 0
     assert "infeasible" in out
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # The parser is built once per process; output mode and options must
+    # still come from each call's own arguments.
+    gmk = ["certify", "--graph", "gmk", "--m", "2", "--k", "1"]
+    outputs = [run(capsys, argv) for argv in (["--pretty", *gmk], gmk, [*gmk, "--pretty"], gmk)]
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 0]
+    pretty_first, json_first, pretty_second, json_second = (out for _, out, _ in outputs)
+    assert pretty_first == pretty_second
+    assert pretty_first.startswith("verdict: certified")
+    assert json_first == json_second
+    assert json.loads(json_first)["outcome"] == "certified"
+    _, other, _ = run(capsys, ["certify", "--graph", "gmk", "--m", "3", "--k", "0"])
+    assert json.loads(other)["report"] != json.loads(json_first)["report"]
 
 
 def test_stdin_input(capsys, monkeypatch):

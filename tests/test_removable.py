@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from linklab.connectivity import vertex_connectivity
 from linklab.feasibility import removable_path
-from linklab.graphs import Graph, RootedGraph, components, delete_vertices
+from linklab.graphs import Graph, RootedGraph, components, induced_subgraph
 from strategies import rooted_graphs
 
 
@@ -14,7 +14,8 @@ def check_postconditions(rg, report):
     path.validate_in(rg.graph)
     assert path.ends == (rg.b1, rg.b2)
     assert not set(rg.a_set) & path.vertex_set
-    remainder, relabel = delete_vertices(rg.graph, path.vertex_set)
+    rest = set(range(rg.graph.vertex_count)) - path.vertex_set
+    remainder, relabel = induced_subgraph(rg.graph, rest)
     comps = components(remainder)
     assert len(comps) <= 1
     if rg.a_set:
@@ -62,6 +63,24 @@ def test_budget_propagates():
     rg = RootedGraph(Graph.complete(8), (0, 1), 2, 7)
     with pytest.raises(SearchBudgetExceeded):
         removable_path(rg, SearchBudget(max_nodes_expanded=2))
+
+
+def test_one_budget_covers_search_and_improvement():
+    # The linkage DFS takes 4 nodes and the improvement loop 2 (one
+    # iteration), so 6 nodes answer and 5 must not.
+    from linklab.errors import SearchBudgetExceeded
+    from linklab.feasibility import SearchBudget
+
+    import pytest
+
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
+                             (1, 6), (2, 5), (2, 6), (4, 5)])
+    rg = RootedGraph(g, (0,), 1, 2)
+    report = removable_path(rg, SearchBudget(max_nodes_expanded=6))
+    check_postconditions(rg, report)
+    assert report.iterations == 1
+    with pytest.raises(SearchBudgetExceeded):
+        removable_path(rg, SearchBudget(max_nodes_expanded=5))
 
 
 def test_low_connectivity_failure_is_reported_not_raised():
