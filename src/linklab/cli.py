@@ -111,13 +111,13 @@ def _cmd_removable(args) -> int:
     rg = _load_rooted(args)
     warnings = []
     guaranteed = False
-    if args.k_check:
-        connectivity = vertex_connectivity(rg.graph)
+    if args.k_check and rg.m == 0:
+        warnings.append("success is not guaranteed at m = 0, whatever the connectivity")
+    elif args.k_check:
+        connectivity = vertex_connectivity(rg.graph, _budget(args))
         needed = 2 * rg.m + 2
-        guaranteed = rg.m >= 1 and connectivity >= needed
-        if rg.m == 0:
-            warnings.append("success is not guaranteed at m = 0, whatever the connectivity")
-        elif connectivity < needed:
+        guaranteed = connectivity >= needed
+        if not guaranteed:
             warnings.append(
                 f"connectivity {connectivity} is below {needed}; success is not guaranteed"
             )
@@ -161,7 +161,7 @@ def _cmd_gmk(args) -> int:
 
 def _cmd_connectivity(args) -> int:
     g = _load_graph(args)
-    value = vertex_connectivity(g)
+    value = vertex_connectivity(g, _budget(args))
     _emit({"command": "connectivity", "vertex_connectivity": value},
           [f"vertex connectivity: {value}"], args)
     return 0
@@ -260,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add_command("connectivity", "vertex connectivity of a graph")
     _add_io_options(sub, roots=False)
+    _add_budget_options(sub)
     sub.set_defaults(func=_cmd_connectivity)
 
     sub = add_command("disc-planar", "disc planarity with a boundary order")

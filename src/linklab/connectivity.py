@@ -1,92 +1,88 @@
 """Vertex connectivity via unit-vertex-capacity maximum flow.
 
-Each vertex is split into an in-node and an out-node joined by a capacity-1
-arc, so a maximum flow between two terminals counts internally disjoint
-paths.  The connectivity of a graph is the minimum of that count over all
-non-adjacent vertex pairs; a complete graph on ``n`` vertices reports
-``n - 1`` by convention.
+Each vertex ``v`` is split into an in-node ``2v`` and an out-node ``2v+1``
+joined by a capacity-1 arc, so a maximum flow between two terminals counts
+internally disjoint paths.  The connectivity is the minimum of that count
+over all non-adjacent vertex pairs; a complete graph on ``n`` vertices
+reports ``n - 1`` by convention.  All flows share one network, and source
+``v_s`` is tried only while ``s`` is below the best count so far (Even 1975;
+Esfahanian and Hakimi 1984).  Had that stopped above the connectivity ``k``,
+``v_0..v_k`` were all tried; one of them misses a minimum separator ``S``,
+and the flow from it or from a smaller vertex beyond ``S`` counts ``k``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from .graphs import Graph
 
 
-def _disjoint_path_count(g: Graph, s: int, t: int, limit: int) -> int:
+def _split_network(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Arc heads and each node's arcs.  Arc ``a ^ 1`` is the reverse of arc
+    ``a``; even arcs start at capacity 1, odd ones at 0."""
+    head: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * g.vertex_count)]
+    ends = [(2 * v, 2 * v + 1) for v in range(g.vertex_count)]
+    ends += [(2 * u + 1, 2 * v) for x, y in sorted(g.edges) for u, v in ((x, y), (y, x))]
+    for a, b in ends:
+        arcs[a].append(len(head))
+        arcs[b].append(len(head) + 1)
+        head += (b, a)
+    return head, arcs
+
+
+def _disjoint_path_count(network, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
     """Maximum number of internally disjoint s-t paths, capped at ``limit``."""
-    n = g.vertex_count
-    # Node 2v is the in-side of v, node 2v+1 the out-side.
-    adj: list[list[list[int]]] = [[] for _ in range(2 * n)]
-
-    def add_arc(a: int, b: int, cap: int) -> None:
-        adj[a].append([b, cap, len(adj[b])])
-        adj[b].append([a, 0, len(adj[a]) - 1])
-
-    for v in range(n):
-        if v != s and v != t:
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v, 1)
-        add_arc(2 * v + 1, 2 * u, 1)
-
+    head, arcs = network
+    cap = [1, 0] * (len(head) // 2)
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < limit:
+    for flow in range(limit):
         # BFS for one augmenting path; unit capacities, so flow grows by 1.
-        parent: dict[int, tuple[int, int]] = {source: (-1, -1)}
+        parent_arc = {source: -1}
         queue = deque([source])
-        while queue and sink not in parent:
+        while queue and sink not in parent_arc:
             a = queue.popleft()
-            for idx, (b, cap, _rev) in enumerate(adj[a]):
-                if cap > 0 and b not in parent:
-                    parent[b] = (a, idx)
+            clock.tick()
+            for arc in arcs[a]:
+                b = head[arc]
+                if cap[arc] and b not in parent_arc:
+                    parent_arc[b] = arc
                     queue.append(b)
-        if sink not in parent:
-            break
+        if sink not in parent_arc:
+            return flow
         node = sink
         while node != source:
-            prev, idx = parent[node]
-            arc = adj[prev][idx]
-            arc[1] -= 1
-            adj[node][arc[2]][1] += 1
-            node = prev
-        flow += 1
-    return flow
+            arc = parent_arc[node]
+            cap[arc] -= 1
+            cap[arc ^ 1] += 1
+            node = head[arc ^ 1]
+    return limit
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum over non-adjacent pairs of the internally-disjoint-path count."""
+def vertex_connectivity(g: Graph, budget: SearchBudget = EXHAUSTIVE) -> int:
+    """Minimum over non-adjacent pairs of the internally-disjoint-path count.
+
+    A budget node is one network node dequeued by an augmenting-path search;
+    raises :class:`SearchBudgetExceeded` when the budget runs out."""
     n = g.vertex_count
     if n <= 1:
         return 0
-    best = n - 1
-    for s in range(n):
-        if g.degree(s) < best:
-            best = g.degree(s)
+    adj = g.adjacency_masks
+    best = min(n - 1, min(map(int.bit_count, adj)))
+    network = _split_network(g)
+    clock = _BudgetClock(budget)
+    s = 0
+    while s < best:
         for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            best = min(best, _disjoint_path_count(g, s, t, best))
-            if best == 0:
-                return 0
+            if best and not adj[s] >> t & 1:
+                best = min(best, _disjoint_path_count(network, s, t, best, clock))
+        s += 1
     return best
 
 
-def has_connectivity_at_least(g: Graph, k: int) -> bool:
-    """Early-exit check for ``vertex_connectivity(g) >= k``."""
-    if k <= 0:
-        return True
-    n = g.vertex_count
-    if n - 1 < k:
-        return False
-    for s in range(n):
-        if g.degree(s) < k:
-            return False
-        for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            if _disjoint_path_count(g, s, t, k) < k:
-                return False
-    return True
+def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget = EXHAUSTIVE) -> bool:
+    """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be."""
+    degree = min(map(int.bit_count, g.adjacency_masks), default=0)
+    return k <= 0 or (g.vertex_count > k and degree >= k and vertex_connectivity(g, budget) >= k)

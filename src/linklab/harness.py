@@ -196,7 +196,10 @@ def _verify_removable(rg: RootedGraph, path_vertices: tuple[int, ...]) -> str | 
 def campaign_removable_path(config: CampaignConfig) -> CampaignReport:
     """Assert the removable-path procedure succeeds on highly connected
     instances, re-verifying its postconditions independently and checking
-    the strict lexicographic growth of the component vectors."""
+    the strict lexicographic growth of the component vectors.  Needs
+    ``m >= 1``: at ``m = 0`` no connectivity guarantees success."""
+    if config.m < 1:
+        raise InvalidInputError("the removable-path campaign needs m >= 1")
     start = time.perf_counter()
     trials = []
     counts = {"feasible": 0, "certified": 0, "failures": 0}

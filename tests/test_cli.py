@@ -169,6 +169,34 @@ def test_critical_budget_exhausted_exit_code(tmp_path, capsys):
     assert json.loads(out)["critically_feasible"] is False
 
 
+PATH2000 = "2000 1999\n" + "".join(f"{v} {v + 1}\n" for v in range(1999))
+
+
+def test_connectivity_budget_exhausted_exit_code(tmp_path, capsys):
+    path = write(tmp_path, PATH2000)
+    code, out, _ = run(capsys, ["connectivity", "-i", path, "--budget-nodes", "10000"])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
+
+
+def test_removable_k_check_budget_exhausted_exit_code(tmp_path, capsys):
+    path = write(tmp_path, PATH2000)
+    argv = ["removable", "-i", path, "--roots", "a:0 b:1,2", "--k-check", "--budget-nodes", "10000"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
+
+
+def test_fuzz_removable_refuses_m_zero(capsys):
+    # No connectivity guarantees a removable path at m = 0, so failures
+    # there are not violations of the claim under test.
+    code, out, err = run(capsys, ["fuzz", "--campaign", "removable", "--m", "0", "--n-min", "5",
+                                  "--n-max", "7", "--trials", "200", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "m >= 1" in err
+
+
 def test_fuzz_campaign_deterministic_output(capsys):
     argv = ["fuzz", "--campaign", "feasibility", "--seed", "5", "--trials", "5",
             "--n-min", "6", "--n-max", "7", "--m", "1"]

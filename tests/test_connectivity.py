@@ -1,9 +1,15 @@
 """Vertex connectivity against the brute-force minimum separator."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
+from linklab.errors import SearchBudgetExceeded
+from linklab.feasibility import SearchBudget
 from linklab.graphs import Graph
+from linklab.harness import small_graphs
 from oracles import brute_min_separator
 from strategies import graphs
 
@@ -32,8 +38,6 @@ def test_disconnected_is_zero():
 def test_petersen_is_three():
     # Independently: no cut of size <= 2, some cut of size 3.
     g = petersen()
-    import itertools
-
     from oracles import _components_of
 
     assert all(
@@ -71,3 +75,40 @@ def test_threshold_consistency(g):
     kappa = vertex_connectivity(g)
     assert has_connectivity_at_least(g, kappa)
     assert not has_connectivity_at_least(g, kappa + 1)
+
+
+def test_matches_brute_force_exhaustively():
+    # Every graph with n <= 7, at every threshold from 0 to n + 1.
+    for g in small_graphs(7):
+        brute = brute_min_separator(g)
+        assert vertex_connectivity(g) == brute
+        for k in range(g.vertex_count + 2):
+            assert has_connectivity_at_least(g, k) == (brute >= k)
+
+
+def test_path_needs_flows_from_one_source_only():
+    # Source v_0 suffices on a path; flows from every vertex would dequeue
+    # about 20 million network nodes here.
+    budget = SearchBudget(max_nodes_expanded=400_000)
+    assert vertex_connectivity(Graph.path_graph(400), budget) == 1
+
+
+def test_separator_on_the_first_vertices():
+    # Two cliques sharing v_0..v_{k-1}, each with two vertices of its own:
+    # minimum degree k + 1, and the first k sources are adjacent to every
+    # vertex, so only the flows from v_k find the separator.
+    for k in (1, 2, 3):
+        shared = list(range(k))
+        left, right = shared + [k, k + 1], shared + [k + 2, k + 3]
+        edges = [*itertools.combinations(left, 2), *itertools.combinations(right, 2)]
+        assert vertex_connectivity(Graph.from_edges(k + 4, edges)) == k
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(max_nodes_expanded=10_000),
+                                    SearchBudget(time_limit_ms=50)])
+def test_budget_bounds_a_large_input(budget):
+    g = Graph.path_graph(20_000)
+    with pytest.raises(SearchBudgetExceeded):
+        vertex_connectivity(g, budget)
+    with pytest.raises(SearchBudgetExceeded):
+        has_connectivity_at_least(g, 1, budget)
