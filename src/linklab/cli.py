@@ -16,7 +16,7 @@ import sys
 from .certificates import gmk_audit, gmk_graph, theorem_check
 from .connectivity import vertex_connectivity
 from .errors import InvalidInputError, ParseError, SearchBudgetExceeded
-from .feasibility import SearchBudget, find_linkage_pair, is_critically_feasible, removable_path
+from .feasibility import SearchBudget, _BudgetClock, find_linkage_pair, is_critically_feasible, removable_path
 from .graphio import parse_graph, parse_roots, parse_vertex_list
 from .graphs import Graph, RootedGraph
 from .harness import (
@@ -109,19 +109,20 @@ def _cmd_certify(args) -> int:
 
 def _cmd_removable(args) -> int:
     rg = _load_rooted(args)
+    clock = _BudgetClock(_budget(args))  # one budget for the check and the path
     warnings = []
     guaranteed = False
     if args.k_check and rg.m == 0:
         warnings.append("success is not guaranteed at m = 0, whatever the connectivity")
     elif args.k_check:
-        connectivity = vertex_connectivity(rg.graph, _budget(args))
+        connectivity = vertex_connectivity(rg.graph, clock)
         needed = 2 * rg.m + 2
         guaranteed = connectivity >= needed
         if not guaranteed:
             warnings.append(
                 f"connectivity {connectivity} is below {needed}; success is not guaranteed"
             )
-    report = removable_path(rg, _budget(args))
+    report = removable_path(rg, clock)
     payload = {
         "command": "removable",
         "outcome": "ok" if report.ok else "failure",

@@ -61,18 +61,18 @@ def _disjoint_path_count(network, s: int, t: int, limit: int, clock: _BudgetCloc
     return limit
 
 
-def vertex_connectivity(g: Graph, budget: SearchBudget = EXHAUSTIVE) -> int:
+def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> int:
     """Minimum over non-adjacent pairs of the internally-disjoint-path count.
 
-    A budget node is one network node dequeued by an augmenting-path search;
-    raises :class:`SearchBudgetExceeded` when the budget runs out."""
+    A budget node is one network node dequeued by an augmenting-path search; raises
+    :class:`SearchBudgetExceeded` when the budget, or a clock shared with other calls, runs out."""
     n = g.vertex_count
     if n <= 1:
         return 0
     adj = g.adjacency_masks
     best = min(n - 1, min(map(int.bit_count, adj)))
     network = _split_network(g)
-    clock = _BudgetClock(budget)
+    clock = budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
     s = 0
     while s < best:
         for t in range(s + 1, n):
@@ -85,4 +85,4 @@ def vertex_connectivity(g: Graph, budget: SearchBudget = EXHAUSTIVE) -> int:
 def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget = EXHAUSTIVE) -> bool:
     """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be."""
     degree = min(map(int.bit_count, g.adjacency_masks), default=0)
-    return k <= 0 or (g.vertex_count > k and degree >= k and vertex_connectivity(g, budget) >= k)
+    return k <= 0 or (degree >= k and vertex_connectivity(g, budget) >= k)

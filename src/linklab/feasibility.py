@@ -265,7 +265,7 @@ def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[i
     )
 
 
-def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> RemovableReport:
+def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> RemovableReport:
     """Find a ``b1``-``b2`` path avoiding the ``a_i`` whose removal leaves the
     graph connected.
 
@@ -278,13 +278,13 @@ def removable_path(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Remova
     ``m >= 1``, success is guaranteed on ``(2m+2)``-connected graphs; at
     ``m = 0`` no connectivity suffices (in ``K_{2,3}`` with ``b1, b2`` on the
     2-side every path leaves two components).  Without the guarantee the
-    procedure reports the first step with no legal move.  One ``budget``
-    covers the linkage search and the improvement loop.
+    procedure reports the first step with no legal move.  One ``budget``, or a
+    clock running since an earlier call, covers the linkage search and the improvement loop.
     """
     g = rg.graph
     adj = g.adjacency_masks
     full = (1 << g.vertex_count) - 1
-    clock = _BudgetClock(budget)
+    clock = budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
     found = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, clock)
     if found is None:
         return RemovableReport(None, "infeasible", 0)

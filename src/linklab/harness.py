@@ -123,11 +123,11 @@ def _instance_blob(rg: RootedGraph) -> dict:
 def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
     """Deterministic instance for ``(config.seed, trial)``.
 
-    ``gnp`` draws each edge independently; ``kconn`` starts from the same
-    draw and adds uniformly random missing edges until the connectivity
-    filter passes (this terminates: a complete graph on ``n > k`` vertices
-    is ``k``-connected).  Raises :class:`GenerationError` when no graph on
-    the drawn vertex count can pass the filter.
+    ``gnp`` draws each edge independently; ``kconn`` starts from the same draw and
+    adds uniformly random missing edges until the connectivity filter passes (this
+    terminates: a complete graph on ``n > k`` vertices is ``k``-connected).  Raises
+    :class:`GenerationError` when no graph on the drawn vertex count can pass the
+    filter, :class:`SearchBudgetExceeded` when one check runs past ``config.budget``.
     """
     rng = random.Random(f"{config.seed}:{trial}")
     n = rng.randint(config.n_min, config.n_max)
@@ -138,7 +138,7 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        while not has_connectivity_at_least(g, k):
+        while not has_connectivity_at_least(g, k, config.budget):
             missing = sorted(set(pairs) - g.edges)
             g = g.add_edges([rng.choice(missing)])
     picks = rng.sample(range(n), config.m + 2)

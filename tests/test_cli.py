@@ -5,6 +5,10 @@ import json
 import pytest
 
 from linklab.cli import cli_main
+from linklab.connectivity import vertex_connectivity
+from linklab.feasibility import EXHAUSTIVE, _BudgetClock, removable_path
+from linklab.graphio import parse_graph
+from linklab.graphs import RootedGraph
 
 PATH3 = "3 2\n0 1\n1 2\n"
 
@@ -185,6 +189,27 @@ def test_removable_k_check_budget_exhausted_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, argv)
     assert code == 3
     assert json.loads(out)["outcome"] == "budget-exhausted"
+
+
+def test_removable_k_check_spends_one_budget(tmp_path, capsys):
+    # The 4-connected circulant C_10(1, 2), m = 1: the check and the path
+    # search each fit in a budget one node short of their sum, both together
+    # do not.
+    edges = sorted(tuple(sorted((v, (v + d) % 10))) for v in range(10) for d in (1, 2))
+    text = "10 20\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    rg = RootedGraph(parse_graph(text), (0,), 5, 6)
+    check, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
+    assert vertex_connectivity(rg.graph, check) == 4
+    assert removable_path(rg, search).ok
+    total = check.ticks + search.ticks
+    path = write(tmp_path, text)
+    argv = ["removable", "-i", path, "--roots", "a:0 b:5,6", "--k-check", "--budget-nodes"]
+    code, out, _ = run(capsys, argv + [str(total - 1)])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
+    code, out, _ = run(capsys, argv + [str(total)])
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
 
 
 def test_fuzz_removable_refuses_m_zero(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import linklab.harness
 from linklab.connectivity import vertex_connectivity
+from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget
 from linklab.graphs import Graph
 from linklab.harness import (
@@ -51,6 +52,13 @@ class TestGeneration:
     def test_impossible_filter(self):
         c = config(n_min=4, n_max=4, k=4)
         with pytest.raises(GenerationError):
+            gen_random_rooted(c, 0)
+
+    def test_filter_spends_the_campaign_budget(self):
+        # On 30 vertices the final connectivity check dequeues far more than
+        # 1,000 network nodes, so the campaign budget must stop it.
+        c = config(n_min=30, n_max=30, budget=SearchBudget(max_nodes_expanded=1000))
+        with pytest.raises(SearchBudgetExceeded):
             gen_random_rooted(c, 0)
 
     def test_roots_are_distinct_vertices(self):
