@@ -46,7 +46,6 @@ from .graphs import (
     augment_rooted,
     components,
     contract_collection,
-    neighborhood,
     validate_collection,
 )
 from .harness import (

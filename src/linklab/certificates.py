@@ -29,6 +29,7 @@ from .feasibility import (
     LinkagePair,
     SearchBudget,
     _BudgetClock,
+    _clock_of,
     _pinned_set,
     find_linkage_pair,
     is_critically_feasible,
@@ -251,7 +252,7 @@ def search_collection(
     rg: RootedGraph,
     kind: CertificateKind,
     u_set: Iterable[int] = (),
-    budget: SearchBudget = EXHAUSTIVE,
+    budget: SearchBudget | _BudgetClock = EXHAUSTIVE,
 ) -> CertificateReport | None:
     """Exhaustive search for a collection whose certificate holds.
 
@@ -260,7 +261,7 @@ def search_collection(
     is formed, and the report of the first passing collection is returned.
     ``None`` is returned only after the whole space is exhausted.
     Restricting candidates to connected members is lossless (see module
-    docstring).
+    docstring).  ``budget`` may be a clock running since an earlier call.
     """
     u_set = frozenset(u_set)
     if kind == "linkage":
@@ -272,7 +273,7 @@ def search_collection(
     else:
         raise InvalidInputError(f"unknown certificate kind {kind!r}")
 
-    clock = _BudgetClock(budget)
+    clock = _clock_of(budget)
     for coll in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
         clock.tick()
         if kind == "linkage":
@@ -287,15 +288,16 @@ def search_collection(
 def theorem_check(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Verdict:
     """Decide an instance: a feasibility witness or a linkage certificate.
 
-    A ``counterexample-candidate`` verdict means both exhaustive searches
-    completed empty-handed; since every instance provably admits one of the
-    two, that verdict flags an implementation bug.
+    One ``budget`` covers both searches; a ``counterexample-candidate``
+    verdict means both completed empty-handed.  Every instance provably
+    admits one of the two, so that verdict flags an implementation bug.
     """
+    clock = _BudgetClock(budget)
     try:
-        pair = find_linkage_pair(rg, budget)
+        pair = find_linkage_pair(rg, clock)
         if pair is not None:
             return Verdict("feasible", pair=pair)
-        report = search_collection(rg, "linkage", budget=budget)
+        report = search_collection(rg, "linkage", budget=clock)
     except SearchBudgetExceeded:
         return Verdict("inconclusive", budget=budget)
     if report is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
+from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, _clock_of
 from .graphs import Graph
 
 
@@ -72,7 +72,7 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     adj = g.adjacency_masks
     best = min(n - 1, min(map(int.bit_count, adj)))
     network = _split_network(g)
-    clock = budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
+    clock = _clock_of(budget)
     s = 0
     while s < best:
         for t in range(s + 1, n):

@@ -63,6 +63,11 @@ class _BudgetClock:
             raise SearchBudgetExceeded("time budget exhausted")
 
 
+def _clock_of(budget: SearchBudget | _BudgetClock) -> _BudgetClock:
+    """A new clock for ``budget``, or ``budget`` itself when it is a running clock."""
+    return budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
+
+
 @dataclass(frozen=True)
 class LinkagePair:
     """A witness of feasibility: a connected part holding the ``a_i`` plus a
@@ -150,15 +155,15 @@ def _search_linkage(
     return None
 
 
-def find_linkage_pair(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> LinkagePair | None:
+def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> LinkagePair | None:
     """Search for a linkage pair; ``None`` proves there is none.
 
     On success ``a_part`` is the full component of ``G - P`` containing the
     ``a_i`` (empty for ``m = 0``).  Raises :class:`SearchBudgetExceeded` when
-    the budget runs out before the search finishes; that outcome is
-    deliberately distinct from both definite answers.
+    the budget, or a clock it shares, runs out before the search finishes;
+    that outcome is deliberately distinct from both definite answers.
     """
-    clock = _BudgetClock(budget)
+    clock = _clock_of(budget)
     found = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, clock)
     if found is None:
         return None
@@ -284,7 +289,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
     g = rg.graph
     adj = g.adjacency_masks
     full = (1 << g.vertex_count) - 1
-    clock = budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
+    clock = _clock_of(budget)
     found = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, clock)
     if found is None:
         return RemovableReport(None, "infeasible", 0)
@@ -307,11 +312,12 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
 
         last = comps[-1]
         boundary = neighborhood_mask(adj, last)
-        attach = [v for v in b_path.vertices if boundary >> v & 1]
+        attach = [i for i, v in enumerate(b_path.vertices) if boundary >> v & 1]
         if len(attach) < 2:
             return RemovableReport(None, "single-attachment-component", iterations, tuple(history))
-        u1, u2 = attach[0], attach[-1]
-        interior = b_path.segment(u1, u2, include_left=False, include_right=False).vertices
+        i1, i2 = attach[0], attach[-1]
+        u1, u2 = b_path.vertices[i1], b_path.vertices[i2]
+        interior = b_path.vertices[i1 + 1 : i2]
         move = None
         for comp in comps[:-1]:
             for u in interior:
@@ -324,8 +330,6 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
             return RemovableReport(None, "no-anchored-interior-vertex", iterations, tuple(history))
 
         detour = _bfs_path(adj, last | 1 << u1 | 1 << u2, u1, u2)
-        i1 = b_path.vertices.index(u1)
-        i2 = b_path.vertices.index(u2)
         rerouted = Path(b_path.vertices[: i1 + 1] + tuple(detour[1:-1]) + b_path.vertices[i2:])
         rerouted.validate_in(g)
         # The shortest path inside the rerouted one is induced.

@@ -9,8 +9,9 @@ sets as masks.  The contraction is the heart of the module:
 ``contract_masks`` deletes each member of a collection and ORs a clique on
 its neighborhood into the surviving adjacency rows, and ``augment_masks``
 also joins every root pair except ``(b1, b2)``.  Certificate checks count
-these rows; ``contract_collection`` and ``augment_rooted`` turn them into a
-``Graph``, which only planarity testing needs.
+these rows, and the planar certificate tests disc planarity on them;
+``contract_collection`` and ``augment_rooted`` give the same results as a
+``Graph`` on dense ids.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         return (u, v) in self.edges if u < v else (v, u) in self.edges
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adjacency_masks[v].bit_count()
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -202,24 +199,6 @@ class Path:
             if not g.has_edge(u, v):
                 raise InvalidInputError(f"consecutive path vertices {u}, {v} are not adjacent")
 
-    def segment(self, u: int, v: int, *, include_left: bool = True, include_right: bool = True) -> "Path":
-        """The subpath between ``u`` and ``v`` in path order.
-
-        The closed/open variants select whether the end vertices themselves
-        are included, mirroring interval notation on paths.  ``u`` and ``v``
-        may be given in either order; the result follows this path's order.
-        """
-        try:
-            i, j = self.vertices.index(u), self.vertices.index(v)
-        except ValueError as exc:
-            raise InvalidInputError(f"segment endpoints {u}, {v} must lie on the path") from exc
-        if i > j:
-            i, j = j, i
-            include_left, include_right = include_right, include_left
-        lo = i if include_left else i + 1
-        hi = j + 1 if include_right else j
-        return Path(self.vertices[lo:hi] if lo <= hi else ())
-
 
 # ---------------------------------------------------------------------------
 # Bitmask helpers (shared by the search modules).
@@ -286,14 +265,6 @@ def neighborhood_mask(adj: tuple[int, ...], s: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Operations.
-
-def neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Vertices outside ``s`` adjacent to some vertex of ``s``."""
-    s = frozenset(s)
-    for v in s:
-        g._check_vertex(v)
-    return frozenset(bits_of(neighborhood_mask(g.adjacency_masks, mask_of(s))))
-
 
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     """Whether ``s`` induces a connected subgraph (empty sets count as connected)."""

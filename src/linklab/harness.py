@@ -21,8 +21,8 @@ from .errors import InvalidInputError
 from .feasibility import (
     EXHAUSTIVE,
     SearchBudget,
+    find_linkage_pair,
     is_critically_feasible,
-    is_feasible,
     removable_path,
 )
 from .graphio import serialize_graph6
@@ -161,7 +161,7 @@ def campaign_connected_feasible(config: CampaignConfig) -> CampaignReport:
             counts["failures"] += 1
             trials.append({"trial": t, "outcome": "generation-failure", "detail": str(exc)})
             continue
-        if is_feasible(rg):
+        if find_linkage_pair(rg, config.budget) is not None:
             counts["feasible"] += 1
             trials.append({"trial": t, "outcome": "feasible", "n": rg.graph.vertex_count})
         else:
@@ -288,7 +288,7 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
             done += 1
             verdict = theorem_check(rg, config.budget)
             if verdict.outcome in ("feasible", "certified"):
-                complaint = _cross_checks(rg, verdict)
+                complaint = _cross_checks(rg, verdict, config.budget)
             else:
                 complaint = f"verdict {verdict.outcome}"
             if complaint is None:
@@ -306,10 +306,10 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
     )
 
 
-def _cross_checks(rg: RootedGraph, verdict) -> str | None:
-    """Per-instance consistency checks layered on top of the basic verdict."""
+def _cross_checks(rg: RootedGraph, verdict, budget: SearchBudget) -> str | None:
+    """Per-instance consistency checks on the verdict; ``budget`` bounds each search."""
     if rg.m == 2:
-        cert = find_seymour_certificate(rg)
+        cert = find_seymour_certificate(rg, budget)
         feasible = verdict.outcome == "feasible"
         if feasible and cert is not None:
             return "planar certificate found for a feasible instance"
@@ -320,10 +320,10 @@ def _cross_checks(rg: RootedGraph, verdict) -> str | None:
         # (the deletion form), so one decision per interior vertex suffices.
         pinned = [
             v for v in verdict.pair.b_path.vertices
-            if v not in (rg.b1, rg.b2) and is_critically_feasible(rg, {v})
+            if v not in (rg.b1, rg.b2) and is_critically_feasible(rg, {v}, budget)
         ]
         for size in range(len(pinned) + 1):
             for u_combo in itertools.combinations(pinned, size):
-                if search_collection(rg, "critical", u_combo) is None:
+                if search_collection(rg, "critical", u_combo, budget) is None:
                     return f"no critical certificate for pinned set {sorted(u_combo)}"
     return None

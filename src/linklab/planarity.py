@@ -2,15 +2,16 @@
 
 Disc planarity asks for a drawing in a closed disc with prescribed vertices
 on the boundary circle in a given cyclic order.  It reduces to ordinary
-planarity: add a cycle through the boundary vertices in order (reusing any
-existing edges) plus one apex vertex adjacent to all of them, and test the
-augmented graph.  The apex pins the cycle as a face, so the reduction is
-exact in both directions.
+planarity: OR into a copy of the adjacency-mask rows a ring through the
+boundary vertices in order (one edge for two, a cycle for more) and an apex
+row adjacent to all of them, and test that graph.  The apex pins the ring
+as a face, so the reduction is exact in both directions.  The planar
+certificate runs it on the rows ``contract_masks`` returns, so each check
+contracts once and builds one ``Graph``, for ``is_planar``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -18,7 +19,7 @@ import networkx as nx
 from .certificates import iter_collections
 from .errors import InvalidInputError
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
-from .graphs import Collection, Graph, RootedGraph, augment_masks, contract_collection, neighborhood
+from .graphs import Collection, Graph, RootedGraph, _graph_of_rows, augment_masks, contract_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,22 @@ def is_planar(g: Graph) -> bool:
     return nx.check_planarity(nxg, counterexample=False)[0]
 
 
+def _is_disc_planar_rows(rows: dict[int, int], boundary: tuple[int, ...]) -> bool:
+    """Disc planarity of the graph with these adjacency rows, ``boundary`` in their ids."""
+    rows = dict(rows)
+    apex = max(rows, default=-1) + 1
+    rows[apex] = mask_of(boundary)
+    t = len(boundary)
+    for i, s in enumerate(boundary):
+        ring = (1 << boundary[i - 1] | 1 << boundary[(i + 1) % t]) if t >= 2 else 0
+        rows[s] |= ring | 1 << apex
+    return is_planar(_graph_of_rows(rows)[0])
+
+
 def is_disc_planar(d: DiscInstance) -> bool:
     """Whether the graph embeds in a disc with the boundary vertices on the
     disc boundary in the given cyclic order."""
-    g, boundary = d.graph, d.boundary
-    t = len(boundary)
-    apex = g.vertex_count
-    extra: list[tuple[int, int]] = [(s, apex) for s in boundary]
-    if t == 2:
-        extra.append(tuple(sorted(boundary)))
-    elif t >= 3:
-        extra.extend(
-            tuple(sorted((boundary[i], boundary[(i + 1) % t]))) for i in range(t)
-        )
-    augmented = Graph.from_edges(apex + 1, itertools.chain(g.edges, extra))
-    return is_planar(augmented)
+    return _is_disc_planar_rows(dict(enumerate(d.graph.adjacency_masks)), d.boundary)
 
 
 def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
@@ -73,12 +75,11 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     """
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    contracted, relabel = contract_collection(rg.graph, x, rg.roots)
-    if any(len(neighborhood(rg.graph, member)) > 3 for member in x):
+    rows, neighborhoods = contract_masks(rg.graph, x, rg.roots)
+    if any(nbhd.bit_count() > 3 for nbhd in neighborhoods):
         return False
     a1, a2 = rg.a_set
-    boundary = (relabel[a1], relabel[rg.b1], relabel[a2], relabel[rg.b2])
-    return is_disc_planar(DiscInstance(contracted, boundary))
+    return _is_disc_planar_rows(rows, (a1, rg.b1, a2, rg.b2))
 
 
 def find_seymour_certificate(

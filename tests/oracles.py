@@ -142,6 +142,12 @@ def brute_two_linkage_exists(g: Graph, s1: int, t1: int, s2: int, t2: int) -> bo
     return False
 
 
+def neighbourhood(g: Graph, member) -> set[int]:
+    """Vertices outside ``member`` adjacent to one of its vertices."""
+    adj = _adjacency(g)
+    return set().union(*(adj[v] for v in member)) - set(member)
+
+
 def brute_collection_valid(g: Graph, members: list[frozenset[int]], forbidden: set[int]) -> bool:
     """Direct statement of the collection invariant."""
     adj = _adjacency(g)
@@ -355,3 +361,23 @@ def _rotation_search_block(edges: list[tuple[int, int]]) -> bool:
 
 def rotation_system_is_planar(g: Graph) -> bool:
     return all(_rotation_search_block(block) for block in _blocks_edge_sets(g))
+
+
+def brute_seymour_certificate(rg: RootedGraph, members: list[frozenset[int]]) -> bool:
+    """The planar certificate straight from its definition: every member has
+    at most 3 neighbours, and the graph left by deleting the members, adding
+    a clique on each neighbourhood, the ring ``a1 b1 a2 b2`` and an apex
+    joined to the ring passes the rotation-system search."""
+    adj = _adjacency(rg.graph)
+    removed = set().union(*members)
+    neighbourhoods = [set().union(*(adj[v] for v in member)) - member for member in members]
+    if any(len(nb) > 3 for nb in neighbourhoods):
+        return False
+    edges = {frozenset(e) for e in rg.graph.edges if not set(e) & removed}
+    for nb in neighbourhoods:
+        edges |= {frozenset(p) for p in itertools.combinations(nb, 2)}
+    ring = [rg.a_set[0], rg.b1, rg.a_set[1], rg.b2]
+    apex = rg.graph.vertex_count
+    edges |= {frozenset((ring[i], ring[(i + 1) % 4])) for i in range(4)}
+    edges |= {frozenset((r, apex)) for r in ring}
+    return rotation_system_is_planar(Graph.from_edges(apex + 1, (tuple(e) for e in edges)))

@@ -7,7 +7,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from linklab.graphs import Collection, Graph, RootedGraph, neighborhood
+from linklab.graphs import Collection, Graph, RootedGraph, bits_of, mask_of, neighborhood_mask
 
 
 @st.composite
@@ -45,20 +45,21 @@ def collections_in(draw, g: Graph, forbidden: frozenset[int] = frozenset()):
     # members clear of this set is exactly the pairwise invariant.
     blocked: set[int] = set()
     seeds = draw(st.lists(st.sampled_from(available), unique=True) if available else st.just([]))
+    adj = g.adjacency_masks
     for seed in seeds:
         if seed in blocked:
             continue
         member = {seed}
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
             frontier = sorted(
-                v for v in member | neighborhood(g, member)
+                v for v in member | set(bits_of(neighborhood_mask(adj, mask_of(member))))
                 if v not in blocked and v not in forbidden
             )
             if not frontier:
                 break
             member.add(draw(st.sampled_from(frontier)))
         members.append(frozenset(member))
-        blocked |= member | neighborhood(g, member)
+        blocked |= member | set(bits_of(neighborhood_mask(adj, mask_of(member))))
     return Collection(members)
 
 

@@ -127,6 +127,21 @@ def test_criterion_2_exhaustive_small_verdicts(exhaustive_m1, exhaustive_m2):
     assert not problems, problems[:5]
 
 
+@pytest.mark.parametrize(
+    "m, instances, feasible, certified",
+    [(3, 228_940, 120_064, 108_876), (4, 111_960, 47_799, 64_161)],
+    ids=["m3", "m4"],
+)
+def test_exhaustive_sweep_n7_beyond_m2(m, instances, feasible, certified):
+    # Criterion 2 for larger m: every instance on at most 7 vertices is
+    # feasible or certified by the average-degree bound, with pinned counts.
+    report = campaign_exhaustive_small(
+        CampaignConfig(seed=0, trials=1, n_min=m + 2, n_max=7, m=m, model="gnp")
+    )
+    assert report.extras["instances"] == instances
+    assert report.counts == {"feasible": feasible, "certified": certified, "failures": 0}
+
+
 @pytest.fixture(scope="module")
 def connected_samples_reports():
     return {m: campaign_connected_feasible(sample_config(m)) for m in (1, 2)}

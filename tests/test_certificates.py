@@ -21,10 +21,10 @@ from linklab.certificates import (
     verify_linkage_collection,
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, neighborhood
+from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair, is_feasible
+from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of
 from linklab.planarity import find_seymour_certificate
-from oracles import brute_candidate_members, brute_certificate, naive_is_feasible
+from oracles import brute_candidate_members, brute_certificate, naive_is_feasible, neighbourhood
 from strategies import collections_in, rooted_graphs, trigrid
 
 
@@ -60,7 +60,7 @@ class TestVerifyLinkage:
         g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (0, 1)])
         rg = RootedGraph(g, (3,), 0, 1)
         report = verify_linkage_collection(rg, Collection([{4}]))
-        assert len(neighborhood(g, {4})) == 3 == report.neighborhood_cap + 1
+        assert len(neighbourhood(g, {4})) == 3 == report.neighborhood_cap + 1
         assert not report.holds
 
     def test_invalid_collection_raises(self):
@@ -203,7 +203,7 @@ class TestCriticalBaseCollection:
         rg = RootedGraph(g, (), 0, 3)
         coll = critical_base_collection(rg, {1, 2})
         assert coll == Collection([{4}])
-        assert neighborhood(g, {4}) == {1}
+        assert neighbourhood(g, {4}) == {1}
         report = verify_critical_collection(rg, {1, 2}, coll)
         assert report.holds
         assert report.lhs_edges_doubled == 2 * 3
@@ -255,7 +255,7 @@ class TestSearchCollection:
                         members = [frozenset(bits_of(member)) for member, _ in got]
                         assert members == brute_candidate_members(g, set(forbidden), cap)
                         for member, (_, nbhd) in zip(members, got):
-                            assert frozenset(bits_of(nbhd)) == neighborhood(g, member)
+                            assert set(bits_of(nbhd)) == neighbourhood(g, member)
 
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -360,6 +360,17 @@ class TestTheoremCheck:
         assert verdict.outcome == "inconclusive"
         assert verdict.budget == budget
         assert verdict.to_dict()["budget"]["max_nodes_expanded"] == 2
+
+    def test_one_budget_covers_both_searches(self):
+        # The linkage DFS and the certificate search fit one budget only
+        # together: one node short of their sum leaves the verdict open.
+        rg = trigrid(4, 5, 6)
+        dfs, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
+        assert find_linkage_pair(rg, dfs) is None
+        assert search_collection(rg, "linkage", budget=search).holds
+        assert (dfs.ticks, search.ticks) == (174, 1797)
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1970)).outcome == "inconclusive"
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1971)).outcome == "certified"
 
     def test_verdict_serialization(self):
         verdict = theorem_check(gmk_graph(2, 1))

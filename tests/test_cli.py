@@ -7,8 +7,9 @@ import pytest
 from linklab.cli import cli_main
 from linklab.connectivity import vertex_connectivity
 from linklab.feasibility import EXHAUSTIVE, _BudgetClock, removable_path
-from linklab.graphio import parse_graph
+from linklab.graphio import parse_graph, serialize_graph
 from linklab.graphs import RootedGraph
+from strategies import trigrid
 
 PATH3 = "3 2\n0 1\n1 2\n"
 
@@ -210,6 +211,19 @@ def test_removable_k_check_spends_one_budget(tmp_path, capsys):
     code, out, _ = run(capsys, argv + [str(total)])
     assert code == 0
     assert json.loads(out)["warnings"] == []
+
+
+def test_certify_spends_one_budget(tmp_path, capsys):
+    # trigrid(4, 5, 6) takes 174 DFS nodes and 1,797 certificate nodes.
+    rg = trigrid(4, 5, 6)
+    path = write(tmp_path, serialize_graph(rg.graph))
+    argv = ["certify", "-i", path, "--roots", "a:0,19 b:4,15", "--budget-nodes"]
+    code, out, _ = run(capsys, argv + ["1970"])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "inconclusive"
+    code, out, _ = run(capsys, argv + ["1971"])
+    assert code == 0
+    assert json.loads(out)["outcome"] == "certified"
 
 
 def test_fuzz_removable_refuses_m_zero(capsys):

@@ -17,10 +17,11 @@ from linklab.graphs import (
     contract_collection,
     induced_subgraph,
     is_connected_set,
-    neighborhood,
+    mask_of,
+    neighborhood_mask,
     validate_collection,
 )
-from oracles import brute_collection_valid
+from oracles import brute_collection_valid, neighbourhood
 from strategies import collections_in, graphs, rooted_graphs
 
 
@@ -70,30 +71,17 @@ class TestPath:
         with pytest.raises(InvalidInputError):
             Path([0, 2]).validate_in(g)
 
-    def test_segment_variants(self):
-        p = Path([5, 3, 1, 0, 2])
-        assert p.segment(3, 0).vertices == (3, 1, 0)
-        assert p.segment(3, 0, include_left=False).vertices == (1, 0)
-        assert p.segment(3, 0, include_right=False).vertices == (3, 1)
-        assert p.segment(3, 0, include_left=False, include_right=False).vertices == (1,)
-        assert p.segment(0, 3, include_left=False, include_right=False).vertices == (1,)
-        assert p.segment(1, 1, include_left=False, include_right=False).vertices == ()
-
 
 class TestNeighborhood:
     def test_path_midpoint(self):
-        assert neighborhood(Graph.path_graph(3), {1}) == {0, 2}
+        assert neighborhood_mask(Graph.path_graph(3).adjacency_masks, mask_of({1})) == mask_of({0, 2})
 
     def test_empty_set(self):
-        assert neighborhood(Graph.complete(4), set()) == set()
+        assert neighborhood_mask(Graph.complete(4).adjacency_masks, 0) == 0
 
     def test_cycle_opposite_pair(self):
         # Direct enumeration on the 4-cycle: 0 and 2 jointly see 1 and 3.
-        assert neighborhood(Graph.cycle(4), {0, 2}) == {1, 3}
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            neighborhood(Graph.complete(3), {5})
+        assert neighborhood_mask(Graph.cycle(4).adjacency_masks, mask_of({0, 2})) == mask_of({1, 3})
 
 
 class TestComponents:
@@ -145,8 +133,8 @@ class TestContraction:
             v for v in range(g.vertex_count)
             if all(
                 g.has_edge(a, b)
-                for a in neighborhood(g, {v})
-                for b in neighborhood(g, {v})
+                for a in neighbourhood(g, {v})
+                for b in neighbourhood(g, {v})
                 if a < b
             )
         ]
@@ -219,6 +207,10 @@ class TestCollectionValidation:
             assert expected
         except InvalidCollectionError:
             assert not expected
+
+    def test_out_of_range_member_rejected(self):
+        with pytest.raises(InvalidInputError):
+            validate_collection(Graph.complete(3), Collection([{5}]))
 
     def test_forbidden_overlap_rejected(self):
         g = Graph.path_graph(4)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -75,6 +76,24 @@ class TestCampaigns:
         assert report.counts == {"feasible": 10, "certified": 0, "failures": 0}
         assert len(report.trials) == 10
         assert sum(report.counts.values()) == 10
+
+    def test_connected_feasible_spends_the_campaign_budget(self):
+        # With k = 0 the filter does no work; the DFS of some trials needs
+        # more than 2 nodes.
+        c = config(seed=1, trials=20, n_min=8, n_max=8, k=0, p=0.3,
+                   budget=SearchBudget(max_nodes_expanded=2))
+        with pytest.raises(SearchBudgetExceeded):
+            campaign_connected_feasible(c)
+
+    def test_exhaustive_cross_checks_spend_the_campaign_budget(self):
+        # On the m = 2, n <= 5 sweep every verdict fits 4 nodes, but the
+        # planar certificate search needs 5 on some instances.
+        c = CampaignConfig(seed=0, trials=1, n_min=4, n_max=5, m=2, model="gnp",
+                           budget=SearchBudget(max_nodes_expanded=4))
+        with pytest.raises(SearchBudgetExceeded):
+            campaign_exhaustive_small(c)
+        report = campaign_exhaustive_small(replace(c, budget=SearchBudget(max_nodes_expanded=5)))
+        assert report.counts == {"feasible": 412, "certified": 674, "failures": 0}
 
     def test_removable_all_pass(self):
         report = campaign_removable_path(config(trials=10))

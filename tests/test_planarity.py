@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linklab.certificates import iter_collections
 from linklab.errors import InvalidInputError
-from linklab.feasibility import is_feasible
+from linklab.feasibility import EXHAUSTIVE, _BudgetClock, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph
+from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
     DiscInstance,
     check_seymour_certificate,
@@ -17,7 +19,7 @@ from linklab.planarity import (
     is_planar,
     seymour_edge_bound,
 )
-from oracles import rotation_system_is_planar
+from oracles import brute_seymour_certificate, rotation_system_is_planar
 from strategies import graphs
 
 
@@ -93,6 +95,19 @@ class TestIsDiscPlanar:
         assert not is_disc_planar(DiscInstance(g, (0, 1)))
         assert is_disc_planar(DiscInstance(g, (0, 2)))
 
+    def test_matches_rotation_search_on_every_small_boundary(self):
+        # Every graph with n <= 5 and every boundary of 2-4 vertices; the
+        # oracle tests an apex augmentation built here from the edge list.
+        for g in small_graphs(5):
+            n = g.vertex_count
+            for size in range(2, min(4, n) + 1):
+                for boundary in itertools.permutations(range(n), size):
+                    ring = [(boundary[i - 1], boundary[i]) for i in range(size)]
+                    apex = [(s, n) for s in boundary]
+                    augmented = Graph.from_edges(n + 1, [*g.edges, *ring, *apex])
+                    expected = rotation_system_is_planar(augmented)
+                    assert is_disc_planar(DiscInstance(g, boundary)) == expected, (g, boundary)
+
     @given(graphs(max_n=6), st.data())
     @settings(max_examples=150)
     def test_rotation_and_reversal_invariance(self, g, data):
@@ -145,11 +160,31 @@ class TestSeymourCertificate:
             assert not is_feasible(rg)
             assert seymour_edge_bound(rg, cert)
 
+    def test_matches_oracle_on_every_small_family(self):
+        # Every m = 2 placement on every graph with n <= 5, and every
+        # collection the cap-3 family enumeration yields for it.
+        pairs = 0
+        for g in small_graphs(5, min_n=4):
+            for rg in rooted_instances(g, 2):
+                for coll in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE)):
+                    expected = brute_seymour_certificate(rg, list(coll.members))
+                    assert check_seymour_certificate(rg, coll) == expected, (rg, coll)
+                    pairs += 1
+        assert pairs == 1992
+
+    def test_member_with_four_neighbours_fails_the_cap(self):
+        # Contracting the hub 8 of a star on 4..7 leaves a K_4 apart from the
+        # roots 0..3, a disc planar graph, so only the cap rejects the member.
+        g = Graph.from_edges(9, [(8, v) for v in range(4, 8)])
+        rg = RootedGraph(g, (0, 2), 1, 3)
+        contracted = Graph.from_edges(8, itertools.combinations(range(4, 8), 2))
+        assert is_disc_planar(DiscInstance(contracted, (0, 1, 2, 3)))
+        assert brute_seymour_certificate(rg, [frozenset({8})]) is False
+        assert not check_seymour_certificate(rg, Collection([{8}]))
+
     def test_exhaustive_equivalence_n5(self):
         # Forward direction too: infeasible two-rooted instances on at most
         # 5 vertices always admit a planar certificate.
-        from linklab.harness import rooted_instances, small_graphs
-
         for g in small_graphs(5):
             if g.vertex_count < 4:
                 continue
