@@ -17,7 +17,7 @@ from typing import Iterator, Literal
 
 from .certificates import search_collection, theorem_check
 from .connectivity import has_connectivity_at_least
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SearchBudgetExceeded
 from .feasibility import (
     EXHAUSTIVE,
     SearchBudget,
@@ -270,11 +270,12 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
     """Sweep every instance up to ``config.n_max`` vertices for ``config.m``.
 
     Every (graph, placement) instance gets a full verdict check; any
-    counterexample-candidate is a failure.  For ``m = 2`` each instance is
-    additionally cross-checked against the planar certificate (it must exist
-    exactly for the infeasible instances).  For ``m <= 1``, every pinned set
-    along a found linkage path for which the instance is critically feasible
-    must admit a critical certificate.
+    counterexample-candidate is a failure, and an inconclusive verdict raises
+    :class:`SearchBudgetExceeded`, as a cross-check that runs out does.  For
+    ``m = 2`` each instance is additionally cross-checked against the planar
+    certificate (it must exist exactly for the infeasible instances).  For
+    ``m <= 1``, every pinned set along a found linkage path for which the
+    instance is critically feasible must admit a critical certificate.
     """
     start = time.perf_counter()
     trials = []
@@ -287,6 +288,8 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
         for rg in rooted_instances(g, config.m):
             done += 1
             verdict = theorem_check(rg, config.budget)
+            if verdict.outcome == "inconclusive":
+                raise SearchBudgetExceeded(f"verdict inconclusive on {g6}")
             if verdict.outcome in ("feasible", "certified"):
                 complaint = _cross_checks(rg, verdict, config.budget)
             else:

@@ -7,11 +7,19 @@ boundary vertices in order (one edge for two, a cycle for more) and an apex
 row adjacent to all of them, and test that graph.  The apex pins the ring
 as a face, so the reduction is exact in both directions.  The planar
 certificate runs it on the rows ``contract_masks`` returns, so each check
-contracts once and builds one ``Graph``, for ``is_planar``.
+contracts once and builds no ``Graph``.
+
+Planarity itself is decided on mask rows.  Deleting vertices of degree at
+most 1 and suppressing those of degree 2 loses nothing, and leaves minimum
+degree 3.  Then up to 5 vertices the graph is planar unless ``e > 3n - 6``
+(K5).  On 6 vertices it is planar unless that bound fails or one of the 10
+bipartitions spans K3,3; by Kuratowski no subdivided K5 escapes both
+tests.  Only graphs with at least 7 vertices left go to networkx.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import networkx as nx
@@ -19,7 +27,7 @@ import networkx as nx
 from .certificates import iter_collections
 from .errors import InvalidInputError
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
-from .graphs import Collection, Graph, RootedGraph, _graph_of_rows, augment_masks, contract_masks, mask_of
+from .graphs import Collection, Graph, RootedGraph, augment_masks, bits_of, contract_masks, mask_of
 
 
 @dataclass(frozen=True)
@@ -38,13 +46,46 @@ class DiscInstance:
 
 
 def is_planar(g: Graph) -> bool:
-    """Whether ``g`` embeds in the plane."""
-    n, e = g.vertex_count, g.edge_count
-    if n >= 3 and e > 3 * n - 6:
+    """Whether ``g`` embeds in the plane: lossless degree reductions, an exact
+    test up to 6 vertices, and networkx from 7 reduced vertices on."""
+    return _is_planar_rows(dict(enumerate(g.adjacency_masks)))
+
+
+def _is_planar_rows(rows: dict[int, int]) -> bool:
+    """Planarity of the graph with these adjacency rows, keyed by vertex id.
+    Reduces ``rows`` in place; both callers pass a fresh dict."""
+    stack = list(rows)
+    while stack:
+        v = stack.pop()
+        if v not in rows or rows[v].bit_count() > 2:
+            continue
+        # Delete v and join its neighbours: a suppressed degree-2 vertex.
+        row = rows.pop(v)
+        for u in bits_of(row):
+            rows[u] = rows[u] & ~(1 << v) | row & ~(1 << u)
+            stack.append(u)
+    n = len(rows)
+    if n <= 4:
+        return True
+    if sum(row.bit_count() for row in rows.values()) > 2 * (3 * n - 6):
         return False
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(n))
-    nxg.add_edges_from(g.edges)
+    if n == 5:
+        return True
+    if n == 6:
+        # Only K3,3 needs a search.  Minimum degree 3 puts a subdivided K5 on
+        # 6 vertices over the edge bound, unless it is K5 less an edge xy plus
+        # w joined to x, y and one z; then the other two, p and q, give K3,3
+        # on {w, p, q} and {x, y, z}.
+        vs = list(rows)
+        full = mask_of(vs)
+        for pair in itertools.combinations(vs[1:], 2):
+            side = mask_of((vs[0], *pair))
+            other = full & ~side
+            if all(rows[v] & other == other for v in bits_of(side)):
+                return False
+        return True
+    # Every vertex left has degree at least 3, so the edges name them all.
+    nxg = nx.Graph((v, w) for v, row in rows.items() for w in bits_of(row) if w > v)
     return nx.check_planarity(nxg, counterexample=False)[0]
 
 
@@ -57,7 +98,7 @@ def _is_disc_planar_rows(rows: dict[int, int], boundary: tuple[int, ...]) -> boo
     for i, s in enumerate(boundary):
         ring = (1 << boundary[i - 1] | 1 << boundary[(i + 1) % t]) if t >= 2 else 0
         rows[s] |= ring | 1 << apex
-    return is_planar(_graph_of_rows(rows)[0])
+    return _is_planar_rows(rows)
 
 
 def is_disc_planar(d: DiscInstance) -> bool:

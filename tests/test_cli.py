@@ -108,6 +108,18 @@ def test_disc_planar_subcommand(tmp_path, capsys):
     assert json.loads(out)["disc_planar"] is False
 
 
+def test_disc_planar_petersen(tmp_path, capsys):
+    # 10 vertices of degree 3 and 15 <= 3n - 6 edges: no reduction or count
+    # decides it, so the answer comes from networkx.
+    edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    path = write(tmp_path, "10 15\n" + "".join(f"{min(e)} {max(e)}\n" for e in edges))
+    code, out, _ = run(capsys, ["disc-planar", "-i", path, "--boundary", "0,1"])
+    assert code == 0
+    assert json.loads(out) == {"schema_version": 1, "command": "disc-planar",
+                               "boundary": [0, 1], "disc_planar": False}
+
+
 def test_graph6_input(tmp_path, capsys):
     from linklab.graphio import serialize_graph6
     from linklab.graphs import Graph
@@ -253,6 +265,15 @@ def test_fuzz_failure_exit_code(capsys):
                                 "--m", "1", "--k", "4"])
     assert code == 1
     assert json.loads(out)["counts"]["failures"] == 2
+
+
+def test_fuzz_exhaustive_inconclusive_verdict_exit_code(capsys):
+    # One node decides no m = 3 instance: the sweep stops with the budget
+    # exit code instead of counting the verdict as a claim violation.
+    code, out, _ = run(capsys, ["fuzz", "--campaign", "exhaustive", "--m", "3", "--n-min", "5",
+                                "--n-max", "6", "--budget-nodes", "1"])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
 
 
 def test_pretty_output(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Planarity, disc planarity, and the planar infeasibility certificate."""
 
 import itertools
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,12 +36,77 @@ def octahedron() -> Graph:
     )
 
 
+def triangular_prism() -> Graph:
+    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def k5_less_01(extra) -> Graph:
+    """K5 on 0..4 without the edge 0 1, plus ``extra`` edges."""
+    return Graph.from_edges(6, [e for e in itertools.combinations(range(5), 2) if e != (0, 1)] + extra)
+
+
+def k33_with_pendant_path_and_long_edge() -> Graph:
+    # K3,3 on 0..5 with the edge 0 3 subdivided thrice (6, 7, 8) and the
+    # path 1 9 10 hanging off vertex 1.
+    k33_edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5) if (a, b) != (0, 3)]
+    return Graph.from_edges(11, k33_edges + [(0, 6), (6, 7), (7, 8), (8, 3), (1, 9), (9, 10)])
+
+
+def test_is_planar_matches_oracles_exhaustively():
+    # Every graph with n <= 7, alone and with an apex joined to every vertex,
+    # against networkx and the rotation-system search, plus one seeded
+    # relabelling of each, since the reductions run in vertex-id order.
+    rng = random.Random(97)
+    for g in small_graphs(7):
+        n = g.vertex_count
+        for h in (g, Graph.from_edges(n + 1, [*g.edges, *((v, n) for v in range(n))])):
+            nxg = nx.Graph(h.edges)
+            nxg.add_nodes_from(range(h.vertex_count))
+            expected = nx.check_planarity(nxg, counterexample=False)[0]
+            assert rotation_system_is_planar(h) == expected, h
+            assert is_planar(h) == expected, h
+            perm = rng.sample(range(h.vertex_count), h.vertex_count)
+            relabelled = Graph.from_edges(h.vertex_count, ((perm[u], perm[v]) for u, v in h.edges))
+            assert is_planar(relabelled) == expected, (h, perm)
+
+
 class TestIsPlanar:
     def test_knowns(self):
         assert is_planar(Graph.complete(4))
         assert not is_planar(Graph.complete(5))
         assert not is_planar(k33())
         assert is_planar(octahedron())
+
+    # Each id names the branch that decides the graph; only the last one
+    # reaches networkx.
+    @pytest.mark.parametrize(
+        "g, planar, networkx_calls",
+        [
+            pytest.param(Graph.complete(5), False, 0, id="K5-edge-bound"),
+            pytest.param(k33(), False, 0, id="K33-bipartition"),
+            pytest.param(k5_less_01([(0, 5), (1, 5)]), False, 0,
+                         id="K5-one-edge-subdivided-suppressed-to-K5-edge-bound"),
+            pytest.param(k5_less_01([(0, 5), (1, 5), (2, 5)]), False, 0,
+                         id="K5-subdivided-degree-3-sixth-vertex-K33-bipartition"),
+            pytest.param(k33_with_pendant_path_and_long_edge(), False, 0,
+                         id="K33-with-paths-reduced-to-K33-bipartition"),
+            pytest.param(triangular_prism(), True, 0, id="prism-no-bipartition"),
+            pytest.param(petersen(), False, 1, id="petersen-reduced-n10-networkx"),
+        ],
+    )
+    def test_branches(self, g, planar, networkx_calls, monkeypatch):
+        calls = []
+        check = nx.check_planarity
+        monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k))
+        assert is_planar(g) == planar
+        assert len(calls) == networkx_calls
 
     @given(graphs(max_n=7))
     @settings(max_examples=150)
