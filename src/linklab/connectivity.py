@@ -9,6 +9,14 @@ reports ``n - 1`` by convention.  All flows share one network, and source
 Esfahanian and Hakimi 1984).  Had that stopped above the connectivity ``k``,
 ``v_0..v_k`` were all tried; one of them misses a minimum separator ``S``,
 and the flow from it or from a smaller vertex beyond ``S`` counts ``k``.
+
+Each flow between non-adjacent ``s`` and ``t`` starts from the paths
+``s-w-t`` through their common neighbours ``w``, up to the cap, and BFS
+augmentation finds only the rest.  By exchange, some maximum family of
+internally disjoint paths holds every such ``s-w-t``: a path through ``w``
+can be swapped for ``s-w-t``, and no maximum family misses ``w`` entirely.
+So the seeds never need cancelling, and a pair with at least ``limit``
+common neighbours is settled with no search.
 """
 
 from __future__ import annotations
@@ -33,12 +41,22 @@ def _split_network(g: Graph) -> tuple[list[int], list[list[int]]]:
     return head, arcs
 
 
-def _disjoint_path_count(network, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
-    """Maximum number of internally disjoint s-t paths, capped at ``limit``."""
+def _disjoint_path_count(network, s: int, t: int, common: int, limit: int, clock: _BudgetClock) -> int:
+    """Maximum number of internally disjoint s-t paths, capped at ``limit``, for
+    non-adjacent ``s`` and ``t``.  The flow starts from the paths ``s-w-t`` through
+    the common neighbours in ``common`` (a mask), at most ``limit``, one tick each."""
     head, arcs = network
     cap = [1, 0] * (len(head) // 2)
     source, sink = 2 * s + 1, 2 * t
-    for flow in range(limit):
+    seeds = [arc for arc in arcs[source] if common >> (head[arc] >> 1) & 1][:limit]
+    for arc in seeds:
+        clock.tick()
+        w_in = head[arc]  # node 2w; arc 2w runs from it to node 2w + 1
+        out = next(a for a in arcs[w_in + 1] if head[a] == sink)
+        for a in (arc, w_in, out):
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    for flow in range(len(seeds), limit):
         # BFS for one augmenting path; unit capacities, so flow grows by 1.
         parent_arc = {source: -1}
         queue = deque([source])
@@ -64,8 +82,9 @@ def _disjoint_path_count(network, s: int, t: int, limit: int, clock: _BudgetCloc
 def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> int:
     """Minimum over non-adjacent pairs of the internally-disjoint-path count.
 
-    A budget node is one network node dequeued by an augmenting-path search; raises
-    :class:`SearchBudgetExceeded` when the budget, or a clock shared with other calls, runs out."""
+    A budget node is one network node dequeued by an augmenting-path search, or one
+    seeded ``s-w-t`` path; raises :class:`SearchBudgetExceeded` when the budget, or a
+    clock shared with other calls, runs out."""
     n = g.vertex_count
     if n <= 1:
         return 0
@@ -77,7 +96,7 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     while s < best:
         for t in range(s + 1, n):
             if best and not adj[s] >> t & 1:
-                best = min(best, _disjoint_path_count(network, s, t, best, clock))
+                best = min(best, _disjoint_path_count(network, s, t, adj[s] & adj[t], best, clock))
         s += 1
     return best
 

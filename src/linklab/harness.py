@@ -9,6 +9,7 @@ is enough to replay it through the CLI.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
@@ -125,7 +126,9 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
 
     ``gnp`` draws each edge independently; ``kconn`` starts from the same draw and
     adds uniformly random missing edges until the connectivity filter passes (this
-    terminates: a complete graph on ``n > k`` vertices is ``k``-connected).  Raises
+    terminates: a complete graph on ``n > k`` vertices is ``k``-connected).  The
+    filter runs only once the minimum degree reaches ``k``: edges only raise degrees,
+    and below that no graph is ``k``-connected, so skipping it changes no draw.  Raises
     :class:`GenerationError` when no graph on the drawn vertex count can pass the
     filter, :class:`SearchBudgetExceeded` when one check runs past ``config.budget``.
     """
@@ -138,9 +141,16 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        while not has_connectivity_at_least(g, k, config.budget):
-            missing = sorted(set(pairs) - g.edges)
-            g = g.add_edges([rng.choice(missing)])
+        missing = [e for e in pairs if e not in g.edges]
+        degree = [row.bit_count() for row in g.adjacency_masks]
+        while min(degree) < k or not has_connectivity_at_least(g, k, config.budget):
+            e = rng.choice(missing)
+            del missing[bisect.bisect_left(missing, e)]
+            edges.append(e)
+            degree[e[0]] += 1
+            degree[e[1]] += 1
+            if min(degree) >= k:
+                g = Graph.from_edges(n, edges)
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 

@@ -1,13 +1,14 @@
 """Vertex connectivity against the brute-force minimum separator."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import SearchBudget
+from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from linklab.graphs import Graph
 from linklab.harness import small_graphs
 from oracles import brute_min_separator
@@ -102,6 +103,18 @@ def test_separator_on_the_first_vertices():
         left, right = shared + [k, k + 1], shared + [k + 2, k + 3]
         edges = [*itertools.combinations(left, 2), *itertools.combinations(right, 2)]
         assert vertex_connectivity(Graph.from_edges(k + 4, edges)) == k
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_common_neighbours_settle_complete_bipartite(k, extra):
+    # K_{k, k+extra} with the k-side first: the sources are v_0..v_{k-1}, and
+    # each non-adjacent pair shares the whole other side, at least k vertices.
+    # Every flow is settled by k seeded paths, one tick each, with no search.
+    g = Graph.from_edges(2 * k + extra, [(a, b) for a in range(k) for b in range(k, 2 * k + extra)])
+    clock = _BudgetClock(EXHAUSTIVE)
+    assert vertex_connectivity(g, clock) == k
+    assert clock.ticks == k * math.comb(k, 2)
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes_expanded=10_000),

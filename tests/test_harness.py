@@ -2,15 +2,16 @@
 
 import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 import linklab.harness
-from linklab.connectivity import vertex_connectivity
+from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget
-from linklab.graphs import Graph
+from linklab.graphs import Graph, RootedGraph
 from linklab.harness import (
     CampaignConfig,
     GenerationError,
@@ -30,7 +31,42 @@ def config(**overrides) -> CampaignConfig:
     return CampaignConfig(**base)
 
 
+def filter_every_step(config: CampaignConfig, trial: int) -> RootedGraph:
+    """The ``kconn`` generator without its degree gate: the sorted missing-edge
+    list rebuilt and the connectivity filter run after every added edge."""
+    rng = random.Random(f"{config.seed}:{trial}")
+    n = rng.randint(config.n_min, config.n_max)
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, [e for e in pairs if rng.random() < config.p])
+    k = config.filter_k
+    if n <= k:
+        raise GenerationError(f"no graph on {n} vertices is {k}-connected")
+    while not has_connectivity_at_least(g, k):
+        missing = sorted(set(pairs) - g.edges)
+        g = g.add_edges([rng.choice(missing)])
+    picks = rng.sample(range(n), config.m + 2)
+    return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_degree_gate_draws_the_same_instances(self, m, p):
+        c = config(seed=10 * m + int(10 * p), m=m, n_min=2 * m + 3, n_max=22, p=p)
+        for t in range(4):
+            assert gen_random_rooted(c, t) == filter_every_step(c, t)
+
+    def test_degree_gate_with_no_filter(self):
+        c = config(k=0, n_min=8, n_max=12, p=0.3)
+        for t in range(4):
+            assert gen_random_rooted(c, t) == filter_every_step(c, t)
+
+    def test_degree_gate_keeps_the_generation_error(self):
+        c = config(m=2, n_min=4, n_max=6)
+        for f in (gen_random_rooted, filter_every_step):
+            with pytest.raises(GenerationError, match="no graph on [456] vertices is 6-connected"):
+                f(c, 0)
+
     def test_deterministic(self):
         c = config()
         a = gen_random_rooted(c, 0)
