@@ -4,11 +4,17 @@ Each vertex ``v`` is split into an in-node ``2v`` and an out-node ``2v+1``
 joined by a capacity-1 arc, so a maximum flow between two terminals counts
 internally disjoint paths.  The connectivity is the minimum of that count
 over all non-adjacent vertex pairs; a complete graph on ``n`` vertices
-reports ``n - 1`` by convention.  All flows share one network, and source
-``v_s`` is tried only while ``s`` is below the best count so far (Even 1975;
-Esfahanian and Hakimi 1984).  Had that stopped above the connectivity ``k``,
-``v_0..v_k`` were all tried; one of them misses a minimum separator ``S``,
-and the flow from it or from a smaller vertex beyond ``S`` counts ``k``.
+reports ``n - 1`` by convention.  All flows share one network, and only the
+pairs around one vertex ``v`` of minimum degree ``d`` are tried: ``v`` with
+each non-neighbour, then each non-adjacent pair of neighbours of ``v``
+(Esfahanian and Hakimi 1984).  That is exact.  No flow counts less than the
+connectivity, which is at most the starting count ``min(n - 1, d)``; so let
+``S`` be a minimum separator with ``|S| < d``.  If ``v`` is not in ``S``,
+the vertices beyond ``S`` from ``v`` are non-neighbours of ``v``, and the
+flow to one of them counts ``|S|``.  If ``v`` is in ``S``, then ``v`` has a
+neighbour in every component of ``G - S``, or ``S - v`` would still
+separate; two such neighbours on different sides are non-adjacent, and the
+flow between them counts ``|S|``.
 
 Each flow between non-adjacent ``s`` and ``t`` starts from the paths
 ``s-w-t`` through their common neighbours ``w``, up to the cap, and BFS
@@ -22,9 +28,10 @@ common neighbours is settled with no search.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, _clock_of
-from .graphs import Graph
+from .graphs import Graph, bits_of
 
 
 def _split_network(g: Graph) -> tuple[list[int], list[list[int]]]:
@@ -80,7 +87,8 @@ def _disjoint_path_count(network, s: int, t: int, common: int, limit: int, clock
 
 
 def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> int:
-    """Minimum over non-adjacent pairs of the internally-disjoint-path count.
+    """Minimum over non-adjacent pairs of the internally-disjoint-path count, taken
+    over the pairs around the lowest-numbered vertex of minimum degree.
 
     A budget node is one network node dequeued by an augmenting-path search, or one
     seeded ``s-w-t`` path; raises :class:`SearchBudgetExceeded` when the budget, or a
@@ -89,15 +97,19 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     if n <= 1:
         return 0
     adj = g.adjacency_masks
-    best = min(n - 1, min(map(int.bit_count, adj)))
+    degrees = [row.bit_count() for row in adj]
+    v = degrees.index(min(degrees))
+    best = min(n - 1, degrees[v])
     network = _split_network(g)
     clock = _clock_of(budget)
-    s = 0
-    while s < best:
-        for t in range(s + 1, n):
-            if best and not adj[s] >> t & 1:
-                best = min(best, _disjoint_path_count(network, s, t, adj[s] & adj[t], best, clock))
-        s += 1
+    non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
+    # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
+    neighbour_pairs = ((x, y) for x in bits_of(adj[v])
+                       for y in bits_of(adj[v] & ~adj[x] >> (x + 1) << (x + 1)))
+    for s, t in chain(non_neighbours, neighbour_pairs):
+        if not best:
+            break
+        best = _disjoint_path_count(network, s, t, adj[s] & adj[t], best, clock)
     return best
 
 

@@ -88,7 +88,8 @@ def test_matches_brute_force_exhaustively():
 
 
 def test_path_needs_flows_from_one_source_only():
-    # Source v_0 suffices on a path; flows from every vertex would dequeue
+    # The minimum-degree vertex is v_0, with one neighbour, so only its 398
+    # flows to its non-neighbours run; flows from every vertex would dequeue
     # about 20 million network nodes here.
     budget = SearchBudget(max_nodes_expanded=400_000)
     assert vertex_connectivity(Graph.path_graph(400), budget) == 1
@@ -96,8 +97,9 @@ def test_path_needs_flows_from_one_source_only():
 
 def test_separator_on_the_first_vertices():
     # Two cliques sharing v_0..v_{k-1}, each with two vertices of its own:
-    # minimum degree k + 1, and the first k sources are adjacent to every
-    # vertex, so only the flows from v_k find the separator.
+    # the shared vertices are adjacent to every vertex.  Minimum degree k + 1
+    # is first reached at v_k, whose non-neighbours v_{k+2} and v_{k+3} lie
+    # beyond the separator v_0..v_{k-1}, so the first flow already counts k.
     for k in (1, 2, 3):
         shared = list(range(k))
         left, right = shared + [k, k + 1], shared + [k + 2, k + 3]
@@ -108,13 +110,28 @@ def test_separator_on_the_first_vertices():
 @pytest.mark.parametrize("extra", [0, 2])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_common_neighbours_settle_complete_bipartite(k, extra):
-    # K_{k, k+extra} with the k-side first: the sources are v_0..v_{k-1}, and
-    # each non-adjacent pair shares the whole other side, at least k vertices.
-    # Every flow is settled by k seeded paths, one tick each, with no search.
+    # K_{k, k+extra} with the k-side first.  Minimum degree k is first reached
+    # at v, v_0 when extra = 0 and v_k when extra = 2; either way v sits on the
+    # (k+extra)-side, its non-neighbours are the other k + extra - 1 vertices of
+    # that side, and its neighbours are the whole k-side.  Every pair tried
+    # shares the whole opposite side, at least k vertices, so each flow is
+    # settled by k seeded paths, one tick each, with no search: k ticks for
+    # each of the k + extra - 1 non-neighbours of v, and k for each of the
+    # C(k, 2) pairs of its neighbours.  At extra = 2 those pairs share k + 2
+    # neighbours, so the count also catches seeding past the cap.
     g = Graph.from_edges(2 * k + extra, [(a, b) for a in range(k) for b in range(k, 2 * k + extra)])
     clock = _BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(g, clock) == k
-    assert clock.ticks == k * math.comb(k, 2)
+    assert clock.ticks == k * (k + extra - 1) + k * math.comb(k, 2)
+
+
+def test_circulant_within_a_small_budget():
+    # C_100^5 (each vertex joined to the five nearest on each side) is
+    # 10-connected.  Far pairs share no neighbours, so seeding settles few
+    # flows; the pairs around v_0 take 121,689 ticks.
+    n = 100
+    g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
+    assert vertex_connectivity(g, SearchBudget(max_nodes_expanded=200_000)) == 10
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes_expanded=10_000),
