@@ -168,11 +168,7 @@ def base_case_collection(rg: RootedGraph) -> Collection | None:
         return None
     g = rg.graph
     adj = g.adjacency_masks
-    full = (1 << g.vertex_count) - 1
-    if rg.m == 0:
-        d_mask = component_mask(adj, full, rg.b1)
-    else:
-        d_mask = component_mask(adj, full & ~(1 << rg.a_set[0]), rg.b1)
+    d_mask = component_mask(adj, ((1 << g.vertex_count) - 1) & ~mask_of(rg.a_set), rg.b1)
     d_side = frozenset(bits_of(d_mask)) - {rg.b1}
     other_side = frozenset(range(g.vertex_count)) - frozenset(bits_of(d_mask)) - rg.roots
     return Collection([d_side, other_side])
@@ -230,22 +226,23 @@ def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _Budg
     yield Collection()
     pairs = _candidate_members(g, forbidden, cap, clock)
     candidates = [frozenset(bits_of(member)) for member, _ in pairs]
-    k = len(candidates)
     compatible = []
     for member, nbhd in pairs:
         clock.tick()
-        # Two members are compatible when neither meets the other's closed
+        # Bit j of row i: neither member meets the other's closed
         # neighborhood; the relation is symmetric, so one test suffices.
-        compatible.append([not (member | nbhd) & other for other, _ in pairs])
-
-    def rec(prefix: tuple[int, ...], start: int):
-        for i in range(start, k):
-            if all(compatible[i][j] for j in prefix):
-                family = prefix + (i,)
-                yield Collection(candidates[j] for j in family)
-                yield from rec(family, i + 1)
-
-    yield from rec((), 0)
+        compatible.append(mask_of(j for j, (other, _) in enumerate(pairs) if not (member | nbhd) & other))
+    # A frame is a family and the mask of the later candidates that can still join
+    # it.  The lowest one joins first; its frame waits below, without it.
+    stack = [((), (1 << len(pairs)) - 1)]
+    while stack:
+        family, joinable = stack.pop()
+        if joinable:
+            i = (joinable & -joinable).bit_length() - 1
+            stack.append((family, joinable & (joinable - 1)))
+            family += (i,)
+            yield Collection(candidates[j] for j in family)
+            stack.append((family, joinable & compatible[i]))
 
 
 def search_collection(

@@ -317,16 +317,8 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
             return RemovableReport(None, "single-attachment-component", iterations, tuple(history))
         i1, i2 = attach[0], attach[-1]
         u1, u2 = b_path.vertices[i1], b_path.vertices[i2]
-        interior = b_path.vertices[i1 + 1 : i2]
-        move = None
-        for comp in comps[:-1]:
-            for u in interior:
-                if adj[u] & comp:
-                    move = u
-                    break
-            if move is not None:
-                break
-        if move is None:
+        # The components of G - B partition alive, so the earlier ones are alive & ~last.
+        if not any(adj[u] & alive & ~last for u in b_path.vertices[i1 + 1 : i2]):
             return RemovableReport(None, "no-anchored-interior-vertex", iterations, tuple(history))
 
         detour = _bfs_path(adj, last | 1 << u1 | 1 << u2, u1, u2)

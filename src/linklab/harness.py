@@ -13,8 +13,8 @@ import bisect
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Literal
 
 from .certificates import search_collection, theorem_check
 from .connectivity import has_connectivity_at_least
@@ -27,7 +27,7 @@ from .feasibility import (
     removable_path,
 )
 from .graphio import serialize_graph6
-from .graphs import Graph, RootedGraph, components, induced_subgraph
+from .graphs import Graph, RootedGraph, components_masks, mask_of
 from .planarity import find_seymour_certificate
 
 
@@ -155,51 +155,51 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 
 
+def _run_trials(kind: str, config: CampaignConfig, judge: Callable[[RootedGraph], dict]) -> CampaignReport:
+    """The random campaigns' loop: ``{"trial": t, **judge(rg)}`` per generated
+    instance, a ``generation-failure`` record where generation fails; outcomes
+    ``feasible`` and ``ok`` count as feasible, all others as failures."""
+    start = time.perf_counter()
+    trials = []
+    for t in range(config.trials):
+        try:
+            rg = gen_random_rooted(config, t)
+        except GenerationError as exc:
+            trials.append({"trial": t, "outcome": "generation-failure", "detail": str(exc)})
+            continue
+        trials.append({"trial": t, **judge(rg)})
+    feasible = sum(t["outcome"] in ("feasible", "ok") for t in trials)
+    counts = {"feasible": feasible, "certified": 0, "failures": config.trials - feasible}
+    return CampaignReport(kind, config, tuple(trials), counts, (time.perf_counter() - start) * 1000.0)
+
+
 def campaign_connected_feasible(config: CampaignConfig) -> CampaignReport:
     """Assert that every generated highly connected instance is feasible.
 
     Intended for ``kconn`` with ``k = 2m + 2``; any infeasible trial is a
     genuine claim violation and lands in ``failures``.
     """
-    start = time.perf_counter()
-    trials = []
-    counts = {"feasible": 0, "certified": 0, "failures": 0}
-    for t in range(config.trials):
-        try:
-            rg = gen_random_rooted(config, t)
-        except GenerationError as exc:
-            counts["failures"] += 1
-            trials.append({"trial": t, "outcome": "generation-failure", "detail": str(exc)})
-            continue
+    def judge(rg: RootedGraph) -> dict:
         if find_linkage_pair(rg, config.budget) is not None:
-            counts["feasible"] += 1
-            trials.append({"trial": t, "outcome": "feasible", "n": rg.graph.vertex_count})
-        else:
-            counts["failures"] += 1
-            trials.append({"trial": t, "outcome": "violation-infeasible", **_instance_blob(rg)})
-    return CampaignReport(
-        "connected-feasible", config, tuple(trials), counts,
-        (time.perf_counter() - start) * 1000.0,
-    )
+            return {"outcome": "feasible", "n": rg.graph.vertex_count}
+        return {"outcome": "violation-infeasible", **_instance_blob(rg)}
+
+    return _run_trials("connected-feasible", config, judge)
 
 
 def _verify_removable(rg: RootedGraph, path_vertices: tuple[int, ...]) -> str | None:
     """Independent postcondition check; returns a complaint or ``None``."""
     g = rg.graph
-    pv = set(path_vertices)
-    if set(rg.a_set) & pv:
+    path_mask = mask_of(path_vertices)
+    if mask_of(rg.a_set) & path_mask:
         return "path meets the a-set"
     if path_vertices[0] != rg.b1 or path_vertices[-1] != rg.b2:
         return "path does not join b1 to b2"
-    for u, v in zip(path_vertices, path_vertices[1:]):
-        if not g.has_edge(u, v):
-            return "path has a non-edge"
-    remainder, relabel = induced_subgraph(g, set(range(g.vertex_count)) - pv)
-    comps = components(remainder)
-    if len(comps) > 1:
+    if not all(g.has_edge(u, v) for u, v in zip(path_vertices, path_vertices[1:])):
+        return "path has a non-edge"
+    # Every a_i lies in G - P, so a connected remainder holds them all.
+    if len(components_masks(g.adjacency_masks, ((1 << g.vertex_count) - 1) & ~path_mask)) > 1:
         return "remainder is disconnected"
-    if rg.a_set and not {relabel[a] for a in rg.a_set} <= (comps[0] if comps else set()):
-        return "remainder misses a root"
     return None
 
 
@@ -210,41 +210,24 @@ def campaign_removable_path(config: CampaignConfig) -> CampaignReport:
     ``m >= 1``: at ``m = 0`` no connectivity guarantees success."""
     if config.m < 1:
         raise InvalidInputError("the removable-path campaign needs m >= 1")
-    start = time.perf_counter()
-    trials = []
-    counts = {"feasible": 0, "certified": 0, "failures": 0}
-    total_iterations = 0
-    max_iterations = 0
-    for t in range(config.trials):
-        try:
-            rg = gen_random_rooted(config, t)
-        except GenerationError as exc:
-            counts["failures"] += 1
-            trials.append({"trial": t, "outcome": "generation-failure", "detail": str(exc)})
-            continue
+
+    def judge(rg: RootedGraph) -> dict:
         report = removable_path(rg, config.budget)
-        complaint = None
         if not report.ok:
             complaint = f"procedure failed: {report.failure}"
         else:
             complaint = _verify_removable(rg, report.path.vertices)
-            if complaint is None:
-                history = report.component_history
-                if any(not b > a for a, b in zip(history, history[1:])):
-                    complaint = "component vector did not strictly increase"
+            history = report.component_history
+            if complaint is None and any(not b > a for a, b in zip(history, history[1:])):
+                complaint = "component vector did not strictly increase"
         if complaint is None:
-            counts["feasible"] += 1
-            total_iterations += report.iterations
-            max_iterations = max(max_iterations, report.iterations)
-            trials.append({"trial": t, "outcome": "ok", "iterations": report.iterations})
-        else:
-            counts["failures"] += 1
-            trials.append({"trial": t, "outcome": "violation", "detail": complaint, **_instance_blob(rg)})
-    return CampaignReport(
-        "removable-path", config, tuple(trials), counts,
-        (time.perf_counter() - start) * 1000.0,
-        {"total_iterations": total_iterations, "max_iterations": max_iterations},
-    )
+            return {"outcome": "ok", "iterations": report.iterations}
+        return {"outcome": "violation", "detail": complaint, **_instance_blob(rg)}
+
+    report = _run_trials("removable-path", config, judge)
+    iterations = [t["iterations"] for t in report.trials if t["outcome"] == "ok"]
+    return replace(report, extras={"total_iterations": sum(iterations),
+                                   "max_iterations": max(iterations, default=0)})
 
 
 def small_graphs(max_n: int, min_n: int = 0) -> Iterator[Graph]:
@@ -294,12 +277,11 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
     for g in small_graphs(config.n_max, config.n_min):
         if g.vertex_count < config.m + 2:
             continue
-        g6 = serialize_graph6(g)
         for rg in rooted_instances(g, config.m):
             done += 1
             verdict = theorem_check(rg, config.budget)
             if verdict.outcome == "inconclusive":
-                raise SearchBudgetExceeded(f"verdict inconclusive on {g6}")
+                raise SearchBudgetExceeded(f"verdict inconclusive on {serialize_graph6(g)}")
             if verdict.outcome in ("feasible", "certified"):
                 complaint = _cross_checks(rg, verdict, config.budget)
             else:
@@ -308,10 +290,8 @@ def campaign_exhaustive_small(config: CampaignConfig) -> CampaignReport:
                 counts[verdict.outcome] += 1
             else:
                 counts["failures"] += 1
-                trials.append(
-                    {"trial": done - 1, "outcome": "violation", "detail": complaint,
-                     "graph6": g6, "roots": {"a": list(rg.a_set), "b1": rg.b1, "b2": rg.b2}}
-                )
+                trials.append({"trial": done - 1, "outcome": "violation", "detail": complaint,
+                               **_instance_blob(rg)})
     return CampaignReport(
         "exhaustive-small", config, tuple(trials), counts,
         (time.perf_counter() - start) * 1000.0,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +305,39 @@ class TestSearchCollection:
                         break
                 found = search_collection(rg, "linkage")
                 assert (found is not None) == any_passes
+
+    def test_families_in_lexicographic_order_of_candidates(self):
+        # Depth-first over increasing candidate indices is lexicographic
+        # order: every pairwise compatible index set, each exactly once.
+        from linklab.harness import rooted_instances, small_graphs
+
+        for g in small_graphs(6, 4):
+            for rg in rooted_instances(g, 1):
+                clock = _BudgetClock(EXHAUSTIVE)
+                members = [frozenset(bits_of(c)) for c, _ in _candidate_members(g, rg.roots, 3, clock)]
+                index = {member: i for i, member in enumerate(members)}
+                families = [
+                    tuple(sorted(index[member] for member in coll))
+                    for coll in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
+                ]
+
+                def compatible(i, j):
+                    return not members[i] & (members[j] | neighbourhood(g, members[j]))
+
+                expected = [
+                    fam
+                    for size in range(len(members) + 1)
+                    for fam in itertools.combinations(range(len(members)), size)
+                    if all(compatible(i, j) for i, j in itertools.combinations(fam, 2))
+                ]
+                assert families == sorted(expected)
+
+    def test_deep_families_do_not_recurse(self):
+        # 1,100 isolated vertices: 1,100 pairwise compatible singletons, so
+        # the first families grow one member at a time to the whole set.
+        families = list(islice(iter_collections(Graph(1100), frozenset(), 0, _BudgetClock(EXHAUSTIVE)), 1102))
+        assert [len(coll) for coll in families[:3]] == [0, 1, 2]
+        assert [len(coll) for coll in families[-2:]] == [1100, 1099]
 
 
 @pytest.mark.parametrize(

@@ -4,17 +4,20 @@ import itertools
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import linklab.harness
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget
+from linklab.feasibility import EXHAUSTIVE, SearchBudget, find_linkage_pair
+from linklab.graphio import parse_graph6
 from linklab.graphs import Graph, RootedGraph
 from linklab.harness import (
     CampaignConfig,
     GenerationError,
+    _verify_removable,
     campaign_connected_feasible,
     campaign_exhaustive_small,
     campaign_removable_path,
@@ -229,6 +232,60 @@ class TestCampaigns:
         assert violations, "expected sparse m=2 instances to include infeasible draws"
         for v in violations:
             assert "graph6" in v and "roots" in v
+
+    def test_exhaustive_violation_records_replay(self, monkeypatch):
+        # With no planar certificate ever found, every certified m = 2
+        # instance is a violation, and its record replays to that instance.
+        monkeypatch.setattr(linklab.harness, "find_seymour_certificate", lambda rg, budget=EXHAUSTIVE: None)
+        report = campaign_exhaustive_small(
+            CampaignConfig(seed=0, trials=1, n_min=4, n_max=5, m=2, model="gnp")
+        )
+        assert report.counts == {"feasible": 412, "certified": 0, "failures": 674}
+        assert len(report.trials) == 674
+        for record in report.trials:
+            assert record["outcome"] == "violation"
+            assert record["detail"] == "no planar certificate for an infeasible instance"
+            roots = record["roots"]
+            rg = RootedGraph(parse_graph6(record["graph6"]), tuple(roots["a"]), roots["b1"], roots["b2"])
+            assert find_linkage_pair(rg) is None
+
+
+class TestVerifyRemovable:
+    # The 6-cycle 0-1-...-5-0 with a = (3,), b1 = 0, b2 = 2.
+    CYCLE = RootedGraph(Graph.cycle(6), (3,), 0, 2)
+
+    @pytest.mark.parametrize("path, complaint", [
+        ((0, 1, 2), None),
+        ((0, 5, 4, 3, 2), "path meets the a-set"),
+        ((0, 1), "path does not join b1 to b2"),
+        ((2, 1, 0), "path does not join b1 to b2"),
+        ((0, 2), "path has a non-edge"),
+    ])
+    def test_complaints_on_the_cycle(self, path, complaint):
+        assert _verify_removable(self.CYCLE, path) == complaint
+
+    def test_disconnected_remainder(self):
+        # A leaf 6 on vertex 1: the path 0-1-2 cuts it off from {3, 4, 5}.
+        g = Graph.from_edges(7, [*Graph.cycle(6).edges, (1, 6)])
+        rg = RootedGraph(g, (3,), 0, 2)
+        assert _verify_removable(rg, (0, 1, 2)) == "remainder is disconnected"
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, campaign, c", [
+    ("feasible_gnp_seed3.json", campaign_connected_feasible,
+     CampaignConfig(seed=3, trials=40, n_min=4, n_max=5, m=2, model="gnp", p=0.15)),
+    ("feasible_kconn_seed7.json", campaign_connected_feasible,
+     CampaignConfig(seed=7, trials=20, n_min=6, n_max=8, m=2, model="kconn")),
+    ("removable_kconn_seed3.json", campaign_removable_path,
+     CampaignConfig(seed=3, trials=60, n_min=6, n_max=9, m=1, model="kconn", k=2)),
+])
+def test_random_campaign_reports_match_golden(name, campaign, c):
+    # Byte-for-byte: verdicts, record keys and order, complaint texts, extras.
+    expected = (GOLDEN / name).read_text().rstrip("\n")
+    assert json.dumps(campaign(c).to_dict(), sort_keys=True) == expected
 
 
 class TestSmallGraphs:
