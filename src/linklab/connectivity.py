@@ -14,7 +14,8 @@ the vertices beyond ``S`` from ``v`` are non-neighbours of ``v``, and the
 flow to one of them counts ``|S|``.  If ``v`` is in ``S``, then ``v`` has a
 neighbour in every component of ``G - S``, or ``S - v`` would still
 separate; two such neighbours on different sides are non-adjacent, and the
-flow between them counts ``|S|``.
+flow between them counts ``|S|``.  Starting from a lower cap ``c`` instead,
+the same pairs give ``min(connectivity, c)``, which threshold tests use.
 
 Each flow between non-adjacent ``s`` and ``t`` starts from the paths
 ``s-w-t`` through their common neighbours ``w``, up to the cap, and BFS
@@ -93,13 +94,19 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     A budget node is one network node dequeued by an augmenting-path search, or one
     seeded ``s-w-t`` path; raises :class:`SearchBudgetExceeded` when the budget, or a
     clock shared with other calls, runs out."""
+    return _connectivity_up_to(g, g.vertex_count, budget)
+
+
+def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock) -> int:
+    """``min(vertex_connectivity(g), cap)``, with every flow capped at ``cap``; a
+    count below the cap is exact."""
     n = g.vertex_count
     if n <= 1:
         return 0
     adj = g.adjacency_masks
     degrees = [row.bit_count() for row in adj]
     v = degrees.index(min(degrees))
-    best = min(n - 1, degrees[v])
+    best = min(n - 1, degrees[v], cap)
     network = _split_network(g)
     clock = _clock_of(budget)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
@@ -113,7 +120,8 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     return best
 
 
-def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget = EXHAUSTIVE) -> bool:
-    """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be."""
+def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> bool:
+    """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be,
+    and otherwise by flows capped at ``k``."""
     degree = min(map(int.bit_count, g.adjacency_masks), default=0)
-    return k <= 0 or (degree >= k and vertex_connectivity(g, budget) >= k)
+    return k <= 0 or (degree >= k and _connectivity_up_to(g, k, budget) >= k)

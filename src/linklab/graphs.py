@@ -305,11 +305,16 @@ def validate_collection(
             hit = bits_of(mask & forbidden_mask)
             raise InvalidCollectionError(f"member {sorted(member)} intersects forbidden set at {hit}")
         masks.append((mask, neighborhood_mask(adj, mask)))
-    for (i, (mask_i, nbhd_i)), (j, (mask_j, _)) in itertools.combinations(enumerate(masks), 2):
-        if (mask_i | nbhd_i) & mask_j:
+    closed = 0  # the union of the closed neighbourhoods of the members so far
+    for mask, nbhd in masks:
+        if closed & mask:
+            # Name the first touching pair in pair order.
+            i, j = next((i, j) for i, j in itertools.combinations(range(len(masks)), 2)
+                        if (masks[i][0] | masks[i][1]) & masks[j][0])
             raise InvalidCollectionError(
                 f"members {sorted(x.members[i])} and {sorted(x.members[j])} touch each other"
             )
+        closed |= mask | nbhd
     return masks
 
 

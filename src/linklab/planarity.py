@@ -14,7 +14,17 @@ most 1 and suppressing those of degree 2 loses nothing, and leaves minimum
 degree 3.  Then up to 5 vertices the graph is planar unless ``e > 3n - 6``
 (K5).  On 6 vertices it is planar unless that bound fails or one of the 10
 bipartitions spans K3,3; by Kuratowski no subdivided K5 escapes both
-tests.  Only graphs with at least 7 vertices left go to networkx.
+tests.
+
+On 7 vertices, past the edge bound, the graph is non-planar iff some edge
+contraction G/uv is, and each G/uv has 6 vertices, so the test above decides
+it.  Every minor of a planar graph is planar, so a non-planar G/uv proves G
+non-planar.  Conversely, take a Kuratowski subdivision H in G.  If H misses a
+vertex v, contract any edge at v (v has degree at least 3); H survives.
+Otherwise H spans all 7 vertices.  K5 has 5 branch vertices and K3,3 has 6,
+so H has a subdivision vertex s, and contracting an H-edge at s leaves a
+subdivision of the same Kuratowski graph.  Only graphs with at least 8
+vertices left go to networkx.
 """
 
 from __future__ import annotations
@@ -47,13 +57,14 @@ class DiscInstance:
 
 def is_planar(g: Graph) -> bool:
     """Whether ``g`` embeds in the plane: lossless degree reductions, an exact
-    test up to 6 vertices, and networkx from 7 reduced vertices on."""
+    test up to 6 vertices, edge contractions down to 6 on 7, and networkx from
+    8 reduced vertices on."""
     return _is_planar_rows(dict(enumerate(g.adjacency_masks)))
 
 
 def _is_planar_rows(rows: dict[int, int]) -> bool:
     """Planarity of the graph with these adjacency rows, keyed by vertex id.
-    Reduces ``rows`` in place; both callers pass a fresh dict."""
+    Reduces ``rows`` in place; every caller passes a fresh dict."""
     stack = list(rows)
     while stack:
         v = stack.pop()
@@ -84,9 +95,21 @@ def _is_planar_rows(rows: dict[int, int]) -> bool:
             if all(rows[v] & other == other for v in bits_of(side)):
                 return False
         return True
+    if n == 7:
+        # Non-planar iff some edge contraction is (module docstring).
+        return all(_is_planar_rows(_contracted(rows, u, w))
+                   for u in rows for w in bits_of(rows[u]) if w > u)
     # Every vertex left has degree at least 3, so the edges name them all.
     nxg = nx.Graph((v, w) for v, row in rows.items() for w in bits_of(row) if w > v)
     return nx.check_planarity(nxg, counterexample=False)[0]
+
+
+def _contracted(rows: dict[int, int], u: int, w: int) -> dict[int, int]:
+    """Fresh rows of the graph with ``w`` merged into its neighbour ``u``."""
+    bit_u, bit_w = 1 << u, 1 << w
+    merged = {x: row & ~bit_w | bit_u if row & bit_w else row for x, row in rows.items() if x != w}
+    merged[u] = (rows[u] | rows[w]) & ~(bit_u | bit_w)
+    return merged
 
 
 def _is_disc_planar_rows(rows: dict[int, int], boundary: tuple[int, ...]) -> bool:

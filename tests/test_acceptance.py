@@ -14,6 +14,7 @@ decisions ledger for the full analysis.
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from linklab.certificates import (
@@ -64,10 +65,21 @@ def exhaustive_m1():
 
 
 @pytest.fixture(scope="module")
-def exhaustive_m2():
-    return campaign_exhaustive_small(
-        CampaignConfig(seed=0, trials=1, n_min=4, n_max=6, m=2, model="gnp")
-    )
+def exhaustive_m2_run():
+    """The m = 2 sweep's report and its number of networkx planarity calls."""
+    calls = []
+    check = nx.check_planarity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k))
+        report = campaign_exhaustive_small(
+            CampaignConfig(seed=0, trials=1, n_min=4, n_max=6, m=2, model="gnp")
+        )
+    return report, len(calls)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_m2(exhaustive_m2_run):
+    return exhaustive_m2_run[0]
 
 
 def eight_vertex_sample() -> list[Graph]:
@@ -125,6 +137,14 @@ def test_criterion_2_exhaustive_small_verdicts(exhaustive_m1, exhaustive_m2):
     )
     assert not counterexamples, counterexamples[:5]
     assert not problems, problems[:5]
+
+
+def test_m2_sweep_decides_planarity_without_networkx(exhaustive_m2_run):
+    # Every planarity test of the sweep keeps at most 7 vertices after the
+    # degree reductions, so the mask-row tests decide all of them.
+    report, networkx_calls = exhaustive_m2_run
+    assert report.counts == {"feasible": 7588, "certified": 7538, "failures": 0}
+    assert networkx_calls == 0
 
 
 @pytest.mark.parametrize(

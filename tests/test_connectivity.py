@@ -134,6 +134,16 @@ def test_circulant_within_a_small_budget():
     assert vertex_connectivity(g, SearchBudget(max_nodes_expanded=200_000)) == 10
 
 
+def test_threshold_caps_every_flow():
+    # On the same circulant, asking for 4-connectivity caps each flow at 4
+    # paths instead of running it up to the minimum degree 10.
+    n = 100
+    g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
+    clock = _BudgetClock(EXHAUSTIVE)
+    assert has_connectivity_at_least(g, 4, clock)
+    assert clock.ticks == 34_925
+
+
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes_expanded=10_000),
                                     SearchBudget(time_limit_ms=50)])
 def test_budget_bounds_a_large_input(budget):

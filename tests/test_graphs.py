@@ -217,6 +217,14 @@ class TestCollectionValidation:
         with pytest.raises(InvalidCollectionError):
             validate_collection(g, Collection([{1}]), forbidden={1})
 
+    def test_first_touching_pair_in_pair_order_is_reported(self):
+        # Members {0}, {1}, {2}, {5} with edges 0 5 and 1 2: the pair 0&5 comes
+        # first in pair order, although {2} is the first member that touches
+        # an earlier one.
+        g = Graph.from_edges(6, [(0, 5), (1, 2)])
+        with pytest.raises(InvalidCollectionError, match=r"^members \[0\] and \[5\] touch each other$"):
+            validate_collection(g, Collection([{0}, {1}, {2}, {5}]))
+
     def test_empty_members_normalized(self):
         c = Collection([set(), {1}, set()])
         assert c.members == (frozenset({1}),)

@@ -95,9 +95,9 @@ class TestGeneration:
             gen_random_rooted(c, 0)
 
     def test_filter_spends_the_campaign_budget(self):
-        # On 30 vertices the final connectivity check dequeues far more than
-        # 1,000 network nodes, so the campaign budget must stop it.
-        c = config(n_min=30, n_max=30, budget=SearchBudget(max_nodes_expanded=1000))
+        # On 30 vertices the final connectivity check, its flows capped at
+        # k = 4, spends 270 budget ticks, so a campaign budget of 100 must stop it.
+        c = config(n_min=30, n_max=30, budget=SearchBudget(max_nodes_expanded=100))
         with pytest.raises(SearchBudgetExceeded):
             gen_random_rooted(c, 0)
 

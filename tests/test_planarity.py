@@ -59,6 +59,29 @@ def k33_with_pendant_path_and_long_edge() -> Graph:
     return Graph.from_edges(11, k33_edges + [(0, 6), (6, 7), (7, 8), (8, 3), (1, 9), (9, 10)])
 
 
+def k33_chord_on_subdivision() -> Graph:
+    # K3,3 on 0..5 with the edge 0 3 subdivided by 6, and the chord 6 1.
+    k33_edges = [(a, b) for a in (0, 1, 2) for b in (3, 4, 5) if (a, b) != (0, 3)]
+    return Graph.from_edges(7, k33_edges + [(0, 6), (6, 3), (6, 1)])
+
+
+def k5_two_subdivisions_with_chords() -> Graph:
+    # K5 on 0..4 with 0 1 subdivided by 5 and 2 3 by 6, then the chords 5 2 and 6 0.
+    k5_edges = [e for e in itertools.combinations(range(5), 2) if e not in ((0, 1), (2, 3))]
+    return Graph.from_edges(7, k5_edges + [(0, 5), (5, 1), (2, 6), (6, 3), (5, 2), (6, 0)])
+
+
+def pentagonal_bipyramid() -> Graph:
+    # The 5-cycle 0..4 with both poles 5 and 6 joined to it: 15 = 3 * 7 - 6 edges.
+    return Graph.from_edges(7, [*((i, (i + 1) % 5) for i in range(5)),
+                                *((i, pole) for i in range(5) for pole in (5, 6))])
+
+
+def cube() -> Graph:
+    return Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                                (0, 4), (1, 5), (2, 6), (3, 7)])
+
+
 def test_is_planar_matches_oracles_exhaustively():
     # Every graph with n <= 7, alone and with an apex joined to every vertex,
     # against networkx and the rotation-system search, plus one seeded
@@ -84,8 +107,8 @@ class TestIsPlanar:
         assert not is_planar(k33())
         assert is_planar(octahedron())
 
-    # Each id names the branch that decides the graph; only the last one
-    # reaches networkx.
+    # Each id names the branch that decides the graph; only the last two,
+    # which keep at least 8 vertices after the reductions, reach networkx.
     @pytest.mark.parametrize(
         "g, planar, networkx_calls",
         [
@@ -98,6 +121,12 @@ class TestIsPlanar:
             pytest.param(k33_with_pendant_path_and_long_edge(), False, 0,
                          id="K33-with-paths-reduced-to-K33-bipartition"),
             pytest.param(triangular_prism(), True, 0, id="prism-no-bipartition"),
+            pytest.param(k33_chord_on_subdivision(), False, 0,
+                         id="K33-subdivided-chord-n7-contraction"),
+            pytest.param(k5_two_subdivisions_with_chords(), False, 0,
+                         id="K5-two-subdivisions-chords-n7-contraction"),
+            pytest.param(pentagonal_bipyramid(), True, 0, id="bipyramid-n7-every-contraction-planar"),
+            pytest.param(cube(), True, 1, id="cube-n8-networkx"),
             pytest.param(petersen(), False, 1, id="petersen-reduced-n10-networkx"),
         ],
     )
@@ -107,6 +136,22 @@ class TestIsPlanar:
         monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k))
         assert is_planar(g) == planar
         assert len(calls) == networkx_calls
+
+    def test_matches_oracles_on_random_graphs_8_to_10(self):
+        # Seeded graphs with 8-10 vertices, some of which reduce to 7, against
+        # networkx; the rotation-system search, slow on denser graphs with 9
+        # or 10 vertices, checks those with 8.
+        rng = random.Random(2026)
+        for _ in range(400):
+            n = rng.randint(8, 10)
+            p = rng.choice((0.25, 0.35, 0.45, 0.55))
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(n))
+            expected = nx.check_planarity(nxg, counterexample=False)[0]
+            assert is_planar(g) == expected, g
+            if n == 8:
+                assert rotation_system_is_planar(g) == expected, g
 
     @given(graphs(max_n=7))
     @settings(max_examples=150)
