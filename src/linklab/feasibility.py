@@ -2,9 +2,13 @@
 
 A rooted graph ``(G, {a_1..a_m}, b1, b2)`` is *feasible* when ``G`` has a
 ``b1``-``b2`` path ``P`` with all ``a_i`` inside a single component of
-``G - P``.  ``find_linkage_pair`` decides this by exhaustive DFS over
-induced ``b1``-``b2`` paths with conservative prunes, so a ``None`` answer
-is a proof of infeasibility.  ``removable_path`` upgrades a linkage path to one
+``G - P``.  For ``m <= 1`` this is plain reachability: every ``a_i`` lies off
+a path that avoids the a-set, and a single root is never split, so ``rg`` is
+feasible iff ``b1`` reaches ``b2`` in ``G - {a_i}``.  ``find_linkage_pair``
+then returns the BFS shortest path, which is induced (a chord would shorten
+it).  For ``m >= 2`` it runs an exhaustive DFS over induced ``b1``-``b2``
+paths with conservative prunes.  Either way a ``None`` answer is a proof of
+infeasibility.  ``removable_path`` upgrades a linkage path to one
 whose removal leaves the graph connected, by repeatedly absorbing the
 smallest leftover component; the component-size vector increases strictly
 in lexicographic order at every step, which bounds the iteration count.
@@ -13,7 +17,6 @@ in lexicographic order at every step, which bounds the iteration count.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -155,19 +158,65 @@ def _search_linkage(
     return None
 
 
+def _bfs_path(
+    adj: tuple[int, ...], alive: int, start: int, goal: int, clock: _BudgetClock | None = None
+) -> list[int] | None:
+    """Deterministic shortest path inside ``alive`` from ``start`` to a
+    different ``goal`` (both endpoints included); ticks ``clock``, when given,
+    once per dequeued vertex."""
+    parent = {start: -1}
+    seen = 1 << start
+    queue = [start]
+    for x in queue:  # the queue grows while it is walked
+        if clock is not None:
+            clock.tick()
+        new = adj[x] & alive & ~seen
+        if new >> goal & 1:
+            out = [goal]
+            while x != -1:
+                out.append(x)
+                x = parent[x]
+            return out[::-1]
+        seen |= new
+        while new:
+            low = new & -new
+            y = low.bit_length() - 1
+            parent[y] = x
+            queue.append(y)
+            new ^= low
+    return None
+
+
+def _shortest_free_path(rg: RootedGraph, clock: _BudgetClock, banned: int = 0) -> list[int] | None:
+    """The BFS shortest ``b1``-``b2`` path avoiding the a-set and ``banned``:
+    the ``m <= 1`` closed form."""
+    free = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(rg.a_set) & ~banned
+    return _bfs_path(rg.graph.adjacency_masks, free, rg.b1, rg.b2, clock)
+
+
 def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> LinkagePair | None:
     """Search for a linkage pair; ``None`` proves there is none.
 
+    For ``m <= 1`` the path is the BFS shortest ``b1``-``b2`` path in
+    ``G - {a_i}``, which exists exactly when ``rg`` is feasible (see the module
+    docstring); for ``m >= 2`` it is the first induced path the DFS finds.
     On success ``a_part`` is the full component of ``G - P`` containing the
     ``a_i`` (empty for ``m = 0``).  Raises :class:`SearchBudgetExceeded` when
     the budget, or a clock it shares, runs out before the search finishes;
     that outcome is deliberately distinct from both definite answers.
     """
     clock = _clock_of(budget)
-    found = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, clock)
-    if found is None:
-        return None
-    comp, path = found
+    if rg.m <= 1:
+        path = _shortest_free_path(rg, clock)
+        if path is None:
+            return None
+        rest = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(path)
+        comp = component_mask(rg.graph.adjacency_masks, rest, rg.a_set[0]) if rg.a_set else 0
+    else:
+        found = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, clock)
+        if found is None:
+            return None
+        comp, path = found
     return LinkagePair(frozenset(bits_of(comp)), Path(path))
 
 
@@ -193,36 +242,26 @@ def is_critically_feasible(
 
     Decided through the deletion form: feasible, and deleting any single
     ``u`` destroys feasibility.  For ``m <= 1`` this provably coincides with
-    the every-linkage-path reading; an empty ``u_set`` reduces to plain
+    the every-linkage-path reading, and it is reachability (see the module
+    docstring): ``b1`` reaches ``b2`` in ``G - {a_i}`` and no longer does once
+    any single ``u`` is deleted too.  That takes one masked BFS per ``u`` on
+    the shortest path; a ``u`` off it cuts nothing.  For ``m >= 2`` each
+    deletion runs the linkage DFS.  An empty ``u_set`` reduces to plain
     feasibility.  One ``budget`` covers all the searches; raises
     :class:`SearchBudgetExceeded` when it runs out.
     """
     u_set = _pinned_set(rg, u_set)
     clock = _BudgetClock(budget)
+    if rg.m <= 1:
+        path = _shortest_free_path(rg, clock)
+        return path is not None and all(
+            u in path and _shortest_free_path(rg, clock, 1 << u) is None for u in sorted(u_set)
+        )
 
     def feasible_without(banned: int) -> bool:
         return _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, banned, clock) is not None
 
     return feasible_without(0) and not any(feasible_without(1 << u) for u in sorted(u_set))
-
-
-def _bfs_path(adj: tuple[int, ...], alive: int, start: int, goal: int) -> list[int] | None:
-    """Deterministic shortest path inside ``alive`` (both endpoints included)."""
-    parent = {start: -1}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        if x == goal:
-            out = []
-            while x != -1:
-                out.append(x)
-                x = parent[x]
-            return out[::-1]
-        for y in bits_of(adj[x] & alive):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    return None
 
 
 def two_linkage(

@@ -196,6 +196,19 @@ def test_connectivity_budget_exhausted_exit_code(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "budget-exhausted"
 
 
+def test_critical_on_a_long_path_spends_one_tick_per_dequeued_vertex(tmp_path, capsys):
+    # 1,999 dequeues (0..1998) reach 1999, then 1,000 (0..999) find it cut
+    # off by 1000.
+    path = write(tmp_path, PATH2000)
+    argv = ["critical", "-i", path, "--roots", "b:0,1999", "--u", "1000", "--budget-nodes"]
+    code, out, _ = run(capsys, argv + ["2998"])
+    assert code == 3
+    assert json.loads(out)["outcome"] == "budget-exhausted"
+    code, out, _ = run(capsys, argv + ["2999"])
+    assert code == 0
+    assert json.loads(out)["critically_feasible"] is True
+
+
 def test_removable_k_check_budget_exhausted_exit_code(tmp_path, capsys):
     path = write(tmp_path, PATH2000)
     argv = ["removable", "-i", path, "--roots", "a:0 b:1,2", "--k-check", "--budget-nodes", "10000"]

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from linklab.errors import InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import (
+    EXHAUSTIVE,
     SearchBudget,
+    _BudgetClock,
+    _search_linkage,
     find_linkage_pair,
     is_critically_feasible,
     is_feasible,
     two_linkage,
 )
 from linklab.graphs import Graph, RootedGraph
+from linklab.harness import rooted_instances, small_graphs
 from oracles import (
+    _components_of,
     brute_two_linkage_exists,
     naive_critical_by_deletion,
     naive_is_critically_feasible,
@@ -238,3 +243,64 @@ class TestCriticalFeasibility:
         # For m <= 1 the deletion form and the literal every-witness-path
         # reading coincide.
         assert got == naive_is_critically_feasible(rg, u_set)
+
+
+class TestClosedFormsAtMostOneRoot:
+    """For m <= 1 feasibility and critical feasibility are reachability
+    questions; these tests hold them to the DFS kernel and pin their ticks."""
+
+    def test_match_the_dfs_kernel_exhaustively(self):
+        mismatches = []
+        for g in small_graphs(7):
+            for m in (0, 1):
+                if g.vertex_count < m + 2:
+                    continue
+                for rg in rooted_instances(g, m):
+                    dfs = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, _BudgetClock(EXHAUSTIVE))
+                    pair = find_linkage_pair(rg)
+                    if (pair is None) != (dfs is None):
+                        mismatches.append(("feasible", rg))
+                        continue
+                    if pair is not None:
+                        pair.validate(rg)
+                        path = pair.b_path.vertices
+                        assert not any(g.has_edge(u, v) for i, u in enumerate(path) for v in path[i + 2:])
+                        expected = next(
+                            (c for c in _components_of(g, set(path)) if rg.a_set[0] in c), set()
+                        ) if m else set()
+                        assert pair.a_part == expected
+                    assert is_critically_feasible(rg, frozenset()) == (dfs is not None)
+                    for u in sorted(set(range(g.vertex_count)) - rg.roots):
+                        # Deleting u leaves feasible any instance whose DFS path avoids u.
+                        cut = dfs is not None and u in dfs[1] and _search_linkage(
+                            g, rg.a_set, rg.b1, rg.b2, 1 << u, _BudgetClock(EXHAUSTIVE)
+                        ) is None
+                        if is_critically_feasible(rg, {u}) != cut:
+                            mismatches.append(("critical", rg, u))
+        assert not mismatches, mismatches[:5]
+
+    def test_feasibility_ticks_once_per_dequeued_vertex(self):
+        # Between the ends of P_10 the BFS dequeues 0..8 and finds 9 beside 8.
+        rg = RootedGraph(Graph.path_graph(10), (), 0, 9)
+        clock = _BudgetClock(EXHAUSTIVE)
+        assert find_linkage_pair(rg, clock).b_path.vertices == tuple(range(10))
+        assert clock.ticks == 9
+        with pytest.raises(SearchBudgetExceeded):
+            find_linkage_pair(rg, SearchBudget(max_nodes_expanded=8))
+        # One root hanging off the path changes nothing on the path.
+        rooted = RootedGraph(Graph.from_edges(11, [(v, v + 1) for v in range(9)] + [(4, 10)]), (10,), 0, 9)
+        clock = _BudgetClock(EXHAUSTIVE)
+        assert find_linkage_pair(rooted, clock).a_part == {10}
+        assert clock.ticks == 9
+
+    def test_critical_ticks_once_per_dequeued_vertex(self):
+        # Nine dequeues to reach 9, then four (0..3) to find 9 cut off by 4.
+        rg = RootedGraph(Graph.path_graph(10), (), 0, 9)
+        assert is_critically_feasible(rg, {4}, SearchBudget(max_nodes_expanded=13))
+        with pytest.raises(SearchBudgetExceeded):
+            is_critically_feasible(rg, {4}, SearchBudget(max_nodes_expanded=12))
+
+    def test_vertex_off_the_shortest_path_costs_no_search(self):
+        # Two dequeues find 0-1-2 on the 4-cycle; 3 lies off it.
+        rg = RootedGraph(Graph.cycle(4), (), 0, 2)
+        assert not is_critically_feasible(rg, {3}, SearchBudget(max_nodes_expanded=2))

@@ -117,8 +117,8 @@ class TestCampaigns:
         assert sum(report.counts.values()) == 10
 
     def test_connected_feasible_spends_the_campaign_budget(self):
-        # With k = 0 the filter does no work; the DFS of some trials needs
-        # more than 2 nodes.
+        # With k = 0 the filter does no work; at m = 1 the reachability
+        # search of some trials dequeues more than 2 vertices.
         c = config(seed=1, trials=20, n_min=8, n_max=8, k=0, p=0.3,
                    budget=SearchBudget(max_nodes_expanded=2))
         with pytest.raises(SearchBudgetExceeded):
