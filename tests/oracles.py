@@ -126,6 +126,17 @@ def brute_min_separator(g: Graph) -> int:
     return n - 1
 
 
+def brute_local_connectivity(g: Graph, s: int, t: int) -> int:
+    """Smallest vertex set, avoiding ``s`` and ``t``, whose removal separates
+    non-adjacent ``s`` and ``t``; found by trying every subset by size."""
+    others = [v for v in range(g.vertex_count) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for cut in itertools.combinations(others, size):
+            if not any(s in comp and t in comp for comp in _components_of(g, set(cut))):
+                return size
+    raise ValueError("s and t are adjacent")
+
+
 def brute_two_linkage_exists(g: Graph, s1: int, t1: int, s2: int, t2: int) -> bool:
     """Enumerate first paths, then second paths among the leftover vertices."""
     for p1 in all_simple_paths(g, s1, t1):

@@ -2,16 +2,24 @@
 
 import itertools
 import math
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from networkx.algorithms.connectivity import local_node_connectivity
 
-from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
+from linklab.connectivity import (
+    _disjoint_path_count,
+    _split_network,
+    has_connectivity_at_least,
+    vertex_connectivity,
+)
 from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from linklab.graphs import Graph
 from linklab.harness import small_graphs
-from oracles import brute_min_separator
+from oracles import brute_local_connectivity, brute_min_separator
 from strategies import graphs
 
 
@@ -87,6 +95,51 @@ def test_matches_brute_force_exhaustively():
             assert has_connectivity_at_least(g, k) == (brute >= k)
 
 
+def _pair_count(g: Graph, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
+    adj = g.adjacency_masks
+    return _disjoint_path_count(_split_network(g), s, t, adj[s] & adj[t], limit, clock)
+
+
+def _non_adjacent_pairs(g: Graph) -> list[tuple[int, int]]:
+    return [(s, t) for s, t in itertools.combinations(range(g.vertex_count), 2)
+            if not g.has_edge(s, t)]
+
+
+def test_pair_counts_match_brute_force_exhaustively():
+    # Every non-adjacent pair of every graph with n <= 7, at every cap from 1
+    # to n, against the smallest separating set found by subset search.
+    for g in small_graphs(7):
+        for s, t in _non_adjacent_pairs(g):
+            brute = brute_local_connectivity(g, s, t)
+            for limit in range(1, g.vertex_count + 1):
+                assert _pair_count(g, s, t, limit, _BudgetClock(EXHAUSTIVE)) == min(brute, limit)
+
+
+def test_pair_counts_match_networkx():
+    # Seeded G(n, p) graphs with 8 to 24 vertices, five non-adjacent pairs each.
+    rng = random.Random(2024)
+    for _ in range(200):
+        n, p = rng.randint(8, 24), rng.uniform(0.15, 0.6)
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(range(n))
+        pairs = _non_adjacent_pairs(g)
+        for s, t in rng.sample(pairs, min(5, len(pairs))):
+            assert _pair_count(g, s, t, n, _BudgetClock(EXHAUSTIVE)) == local_node_connectivity(nxg, s, t)
+
+
+def test_augmenting_path_cancels_flow():
+    # The first path found from 0 to 5 is 0-1-3-5.  The second runs 0-2 into 3,
+    # back along the flow to 1, then 1-4-5, cancelling the flow on 1->3.
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+    clock = _BudgetClock(EXHAUSTIVE)
+    assert _pair_count(g, 0, 5, 6, clock) == 2
+    assert clock.ticks == 19
+    clock = _BudgetClock(EXHAUSTIVE)
+    assert vertex_connectivity(g, clock) == 2
+    assert clock.ticks == 32
+
+
 def test_path_needs_flows_from_one_source_only():
     # The minimum-degree vertex is v_0, with one neighbour, so only its 398
     # flows to its non-neighbours run; flows from every vertex would dequeue
@@ -131,7 +184,9 @@ def test_circulant_within_a_small_budget():
     # flows; the pairs around v_0 take 121,689 ticks.
     n = 100
     g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
-    assert vertex_connectivity(g, SearchBudget(max_nodes_expanded=200_000)) == 10
+    clock = _BudgetClock(SearchBudget(max_nodes_expanded=200_000))
+    assert vertex_connectivity(g, clock) == 10
+    assert clock.ticks == 121_689
 
 
 def test_threshold_caps_every_flow():
