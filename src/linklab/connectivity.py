@@ -1,13 +1,15 @@
 """Vertex connectivity via unit-vertex-capacity maximum flow.
 
-Each vertex ``v`` is split into an in-node ``2v`` and an out-node ``2v+1``
-joined by a capacity-1 arc, so a maximum flow between two terminals counts
-internally disjoint paths.  The connectivity is the minimum of that count
-over all non-adjacent vertex pairs; a complete graph on ``n`` vertices
-reports ``n - 1`` by convention.  All flows share one network, and only the
-pairs around one vertex ``v`` of minimum degree ``d`` are tried: ``v`` with
-each non-neighbour, then each non-adjacent pair of neighbours of ``v``
-(Esfahanian and Hakimi 1984).  That is exact.  No flow counts less than the
+Each vertex ``v`` has an in-node ``2v`` and an out-node ``2v+1`` joined by a
+capacity-1 arc, and each edge ``u-v`` gives arcs from the out-node of either
+end to the in-node of the other, so a maximum flow between two terminals
+counts internally disjoint paths.  These nodes stay implicit: a flow runs on
+the adjacency masks and reads its residual arcs off its own flow state.  The
+connectivity is the minimum of that count over all non-adjacent vertex
+pairs; a complete graph on ``n`` vertices reports ``n - 1`` by convention.
+Only the pairs around one vertex ``v`` of minimum degree ``d`` are tried:
+``v`` with each non-neighbour, then each non-adjacent pair of neighbours of
+``v`` (Esfahanian and Hakimi 1984).  That is exact.  No flow counts less than the
 connectivity, which is at most the starting count ``min(n - 1, d)``; so let
 ``S`` be a minimum separator with ``|S| < d``.  If ``v`` is not in ``S``,
 the vertices beyond ``S`` from ``v`` are non-neighbours of ``v``, and the
@@ -28,72 +30,96 @@ common neighbours is settled with no search.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, _clock_of
 from .graphs import Graph, bits_of
 
 
-def _split_network(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """Arc heads and each node's arcs.  Arc ``a ^ 1`` is the reverse of arc
-    ``a``; even arcs start at capacity 1, odd ones at 0."""
-    head: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * g.vertex_count)]
-    ends = [(2 * v, 2 * v + 1) for v in range(g.vertex_count)]
-    ends += [(2 * u + 1, 2 * v) for x, y in sorted(g.edges) for u, v in ((x, y), (y, x))]
-    for a, b in ends:
-        arcs[a].append(len(head))
-        arcs[b].append(len(head) + 1)
-        head += (b, a)
-    return head, arcs
-
-
-def _disjoint_path_count(network, s: int, t: int, common: int, limit: int, clock: _BudgetClock) -> int:
+def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limit: int,
+                         clock: _BudgetClock) -> int:
     """Maximum number of internally disjoint s-t paths, capped at ``limit``, for
-    non-adjacent ``s`` and ``t``.  The flow starts from the paths ``s-w-t`` through
-    the common neighbours in ``common`` (a mask), at most ``limit``, one tick each."""
-    head, arcs = network
-    cap = [1, 0] * (len(head) // 2)
-    source, sink = 2 * s + 1, 2 * t
-    seeds = [arc for arc in arcs[source] if common >> (head[arc] >> 1) & 1][:limit]
-    for arc in seeds:
+    non-adjacent ``s`` and ``t`` of the graph with adjacency masks ``adj``.  The flow
+    starts from the paths ``s-w-t`` through the common neighbours in ``common`` (a
+    mask), at most ``limit``; BFS augmentation finds the rest.  One tick is one
+    seeded path or one network node dequeued.
+
+    The flow state is each vertex's flow successors and predecessors, as masks;
+    only ``s`` and ``t`` hold more than one, and any other vertex carries flow
+    exactly when it has a predecessor.  It gives the residual arcs.  The out-node
+    of ``v`` reaches its own in-node if ``v`` carries flow, then the in-nodes of its
+    neighbours other than its flow successor; the in-node of ``v`` reaches its own
+    out-node if ``v`` is free, else the out-node of its flow predecessor.  A node
+    lists its arcs in that order, neighbours ascending, and the BFS is first in,
+    first out."""
+    succ = [0] * len(adj)
+    pred = [0] * len(adj)
+    flow = 0
+    while common and flow < limit:  # seed the paths s-w-t, lowest w first
         clock.tick()
-        w_in = head[arc]  # node 2w; arc 2w runs from it to node 2w + 1
-        out = next(a for a in arcs[w_in + 1] if head[a] == sink)
-        for a in (arc, w_in, out):
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-    for flow in range(len(seeds), limit):
-        # BFS for one augmenting path; unit capacities, so flow grows by 1.
-        parent_arc = {source: -1}
-        queue = deque([source])
-        while queue and sink not in parent_arc:
-            a = queue.popleft()
+        w = (common & -common).bit_length() - 1
+        common ^= 1 << w
+        succ[s] |= 1 << w
+        succ[w], pred[w] = 1 << t, 1 << s
+        pred[t] |= 1 << w
+        flow += 1
+    source, sink = 2 * s + 1, 2 * t
+    for flow in range(flow, limit):
+        # FIFO BFS for one augmenting path; unit capacities, so flow grows by 1.
+        parent = {source: -1}
+        seen_in = 0
+        queue = [source]
+        for node in queue:
             clock.tick()
-            for arc in arcs[a]:
-                b = head[arc]
-                if cap[arc] and b not in parent_arc:
-                    parent_arc[b] = arc
-                    queue.append(b)
-        if sink not in parent_arc:
+            v = node >> 1
+            if node & 1:
+                if pred[v] and not seen_in >> v & 1:
+                    seen_in |= 1 << v
+                    parent[node - 1] = node
+                    queue.append(node - 1)
+                fresh = adj[v] & ~(succ[v] | seen_in)
+                if fresh >> t & 1:
+                    parent[sink] = node
+                    break
+                seen_in |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    w_in = low.bit_length() - 1 << 1
+                    parent[w_in] = node
+                    queue.append(w_in)
+            else:  # the out-node of v's flow predecessor, or of v itself when v is free
+                out = 2 * pred[v].bit_length() - 1 if pred[v] else node + 1
+                if out not in parent:
+                    parent[out] = node
+                    queue.append(out)
+        else:
             return flow
         node = sink
         while node != source:
-            arc = parent_arc[node]
-            cap[arc] -= 1
-            cap[arc ^ 1] += 1
-            node = head[arc ^ 1]
+            prev = parent[node]
+            a, b = prev >> 1, node >> 1
+            if a == b:  # a split arc: pred already tells whether the vertex carries flow
+                pass
+            elif prev & 1:  # out-node a to in-node b: flow on the edge a-b
+                succ[a] |= 1 << b
+                pred[b] |= 1 << a
+            else:  # in-node a back to out-node b: cancel the flow b-a
+                succ[b] &= ~(1 << a)
+                pred[a] &= ~(1 << b)
+            node = prev
     return limit
 
 
 def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> int:
     """Minimum over non-adjacent pairs of the internally-disjoint-path count, taken
-    over the pairs around the lowest-numbered vertex of minimum degree.
+    over the pairs around the lowest-numbered vertex of minimum degree, each flow
+    run on the adjacency masks.
 
-    A budget node is one network node dequeued by an augmenting-path search, or one
-    seeded ``s-w-t`` path; raises :class:`SearchBudgetExceeded` when the budget, or a
-    clock shared with other calls, runs out."""
+    A budget node is one network node (an implicit in- or out-node) dequeued by an
+    augmenting-path search, or one seeded ``s-w-t`` path; raises
+    :class:`SearchBudgetExceeded` when the budget, or a clock shared with other
+    calls, runs out."""
     return _connectivity_up_to(g, g.vertex_count, budget)
 
 
@@ -107,7 +133,6 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock)
     degrees = [row.bit_count() for row in adj]
     v = degrees.index(min(degrees))
     best = min(n - 1, degrees[v], cap)
-    network = _split_network(g)
     clock = _clock_of(budget)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
@@ -116,7 +141,7 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock)
     for s, t in chain(non_neighbours, neighbour_pairs):
         if not best:
             break
-        best = _disjoint_path_count(network, s, t, adj[s] & adj[t], best, clock)
+        best = _disjoint_path_count(adj, s, t, adj[s] & adj[t], best, clock)
     return best
 
 

@@ -11,7 +11,6 @@ from networkx.algorithms.connectivity import local_node_connectivity
 
 from linklab.connectivity import (
     _disjoint_path_count,
-    _split_network,
     has_connectivity_at_least,
     vertex_connectivity,
 )
@@ -97,7 +96,7 @@ def test_matches_brute_force_exhaustively():
 
 def _pair_count(g: Graph, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
     adj = g.adjacency_masks
-    return _disjoint_path_count(_split_network(g), s, t, adj[s] & adj[t], limit, clock)
+    return _disjoint_path_count(adj, s, t, adj[s] & adj[t], limit, clock)
 
 
 def _non_adjacent_pairs(g: Graph) -> list[tuple[int, int]]:
