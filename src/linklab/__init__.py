@@ -44,7 +44,6 @@ from .graphs import (
     Path,
     RootedGraph,
     augment_rooted,
-    components,
     contract_collection,
     validate_collection,
 )

@@ -2,16 +2,18 @@
 
 A rooted graph ``(G, {a_1..a_m}, b1, b2)`` is *feasible* when ``G`` has a
 ``b1``-``b2`` path ``P`` with all ``a_i`` inside a single component of
-``G - P``.  For ``m <= 1`` this is plain reachability: every ``a_i`` lies off
-a path that avoids the a-set, and a single root is never split, so ``rg`` is
-feasible iff ``b1`` reaches ``b2`` in ``G - {a_i}``.  ``find_linkage_pair``
-then returns the BFS shortest path, which is induced (a chord would shorten
-it).  For ``m >= 2`` it runs an exhaustive DFS over induced ``b1``-``b2``
-paths with conservative prunes.  Either way a ``None`` answer is a proof of
-infeasibility.  ``removable_path`` upgrades a linkage path to one
-whose removal leaves the graph connected, by repeatedly absorbing the
-smallest leftover component; the component-size vector increases strictly
-in lexicographic order at every step, which bounds the iteration count.
+``G - P``.  One kernel decides every ``m``.  It takes the BFS shortest
+``b1``-``b2`` path in ``G - {a_i}``, which is induced (a chord would shorten
+it): if there is none, ``rg`` is infeasible, and if it leaves the ``a_i`` in
+one component, it is a witness.  For ``m <= 1`` it always does, since every
+``a_i`` lies off it and a single root is never split, so feasibility is plain
+reachability.  For ``m >= 2`` a shortest path that splits the ``a_i`` hands
+over to an exhaustive DFS over induced ``b1``-``b2`` paths with conservative
+prunes.  Either way a ``None`` answer is a proof of infeasibility.
+``removable_path`` upgrades a linkage path to one whose removal leaves the
+graph connected, by repeatedly absorbing the smallest leftover component;
+the component-size vector increases strictly in lexicographic order at
+every step, which bounds the iteration count.
 """
 
 from __future__ import annotations
@@ -104,31 +106,35 @@ def _search_linkage(
     b2: int,
     banned: int,
     clock: _BudgetClock,
-) -> tuple[int, list[int]] | None:
-    """DFS over induced b1-b2 paths avoiding ``banned`` and the ``a_i``.
+) -> list[int] | None:
+    """The linkage kernel: an induced b1-b2 witness path avoiding ``banned``,
+    or ``None`` when none exists.
 
-    Returns ``(a_component_mask, path)`` on success, ``None`` after the
-    search space is exhausted.  Three prunes are applied, none of which
-    loses a witness.  Deleting vertices never merges components, so a
-    partial path that already separates the ``a_i``, or cuts its own
-    endpoint off from ``b2``, can never be completed.  And a vertex adjacent
-    to the path before its end is skipped: the shortest path inside a
-    witness's own vertex set is induced, and it only merges components of
-    ``G - P``, so it is a witness too.
+    The BFS shortest path comes first (see the module docstring).  The DFS
+    that follows it applies three prunes, none of which loses a witness.
+    Deleting vertices never merges components, so a partial path that
+    already separates the ``a_i``, or cuts its own endpoint off from ``b2``,
+    can never be completed.  And a vertex adjacent to the path before its end
+    is skipped: the shortest path inside a witness's own vertex set is
+    induced, and it only merges components of ``G - P``, so it is a witness
+    too.
     """
     adj = g.adjacency_masks
-    full = (1 << g.vertex_count) - 1
-    alive_universe = full & ~banned
     a_mask = mask_of(a_set)
-    if a_mask & banned or not alive_universe >> b1 & 1 or not alive_universe >> b2 & 1:
+    if banned & (a_mask | 1 << b1 | 1 << b2):
         raise InvalidInputError("roots may not be banned from the search")
-    blocked = banned | a_mask
+    alive = ((1 << g.vertex_count) - 1) & ~banned
+    free = alive & ~a_mask
+    shortest = _bfs_path(adj, free, b1, b2, clock)
+    if shortest is None or len(a_set) < 2:
+        return shortest
+    a_seed = a_set[0]
+    if not a_mask & ~component_mask(adj, alive & ~mask_of(shortest), a_seed):
+        return shortest
 
     path = [b1]
     on_path = 1 << b1
-    iters = [iter(bits_of(adj[b1] & alive_universe & ~blocked))]
-    a_seed = a_set[0] if a_set else -1
-
+    iters = [iter(bits_of(adj[b1] & free))]
     while iters:
         v = next(iters[-1], -1)
         if v < 0:
@@ -139,22 +145,18 @@ def _search_linkage(
             continue
         clock.tick()
         new_on = on_path | 1 << v
-        rest = alive_universe & ~new_on
+        rest = alive & ~new_on
         if v == b2:
-            if not a_set:
-                return 0, path + [v]
-            comp = component_mask(adj, rest, a_seed)
-            if a_mask & ~comp == 0:
-                return comp, path + [v]
+            if not a_mask & ~component_mask(adj, rest, a_seed):
+                return path + [v]
             continue
         if not component_mask(adj, rest | 1 << v, v) >> b2 & 1:
             continue
-        # A single root can never be split off, so the check matters for m >= 2 only.
-        if len(a_set) >= 2 and a_mask & ~component_mask(adj, rest, a_seed):
+        if a_mask & ~component_mask(adj, rest, a_seed):
             continue
         path.append(v)
         on_path = new_on
-        iters.append(iter(bits_of(adj[v] & rest & ~blocked)))
+        iters.append(iter(bits_of(adj[v] & rest & ~a_mask)))
     return None
 
 
@@ -187,36 +189,22 @@ def _bfs_path(
     return None
 
 
-def _shortest_free_path(rg: RootedGraph, clock: _BudgetClock, banned: int = 0) -> list[int] | None:
-    """The BFS shortest ``b1``-``b2`` path avoiding the a-set and ``banned``:
-    the ``m <= 1`` closed form."""
-    free = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(rg.a_set) & ~banned
-    return _bfs_path(rg.graph.adjacency_masks, free, rg.b1, rg.b2, clock)
-
-
 def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> LinkagePair | None:
     """Search for a linkage pair; ``None`` proves there is none.
 
-    For ``m <= 1`` the path is the BFS shortest ``b1``-``b2`` path in
-    ``G - {a_i}``, which exists exactly when ``rg`` is feasible (see the module
-    docstring); for ``m >= 2`` it is the first induced path the DFS finds.
-    On success ``a_part`` is the full component of ``G - P`` containing the
-    ``a_i`` (empty for ``m = 0``).  Raises :class:`SearchBudgetExceeded` when
-    the budget, or a clock it shares, runs out before the search finishes;
-    that outcome is deliberately distinct from both definite answers.
+    The path is the one the linkage kernel returns: the BFS shortest
+    ``b1``-``b2`` path in ``G - {a_i}`` when it leaves the ``a_i`` together
+    (always for ``m <= 1``), else the first induced path the DFS finds.
+    ``a_part`` is the full component of ``G - P`` containing the ``a_i``
+    (empty for ``m = 0``).  Raises :class:`SearchBudgetExceeded` when the
+    budget, or a clock it shares, runs out before the search finishes; that
+    outcome is deliberately distinct from both definite answers.
     """
-    clock = _clock_of(budget)
-    if rg.m <= 1:
-        path = _shortest_free_path(rg, clock)
-        if path is None:
-            return None
-        rest = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(path)
-        comp = component_mask(rg.graph.adjacency_masks, rest, rg.a_set[0]) if rg.a_set else 0
-    else:
-        found = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, clock)
-        if found is None:
-            return None
-        comp, path = found
+    path = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, _clock_of(budget))
+    if path is None:
+        return None
+    rest = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(path)
+    comp = component_mask(rg.graph.adjacency_masks, rest, rg.a_set[0]) if rg.a_set else 0
     return LinkagePair(frozenset(bits_of(comp)), Path(path))
 
 
@@ -241,27 +229,23 @@ def is_critically_feasible(
     """Whether ``rg`` is feasible and every linkage path must pass through ``u_set``.
 
     Decided through the deletion form: feasible, and deleting any single
-    ``u`` destroys feasibility.  For ``m <= 1`` this provably coincides with
-    the every-linkage-path reading, and it is reachability (see the module
-    docstring): ``b1`` reaches ``b2`` in ``G - {a_i}`` and no longer does once
-    any single ``u`` is deleted too.  That takes one masked BFS per ``u`` on
-    the shortest path; a ``u`` off it cuts nothing.  For ``m >= 2`` each
-    deletion runs the linkage DFS.  An empty ``u_set`` reduces to plain
-    feasibility.  One ``budget`` covers all the searches; raises
-    :class:`SearchBudgetExceeded` when it runs out.
+    ``u`` destroys feasibility; each deletion runs the linkage kernel again.
+    For ``m <= 1`` this provably coincides with the every-linkage-path
+    reading, and it is reachability (see the module docstring), so a ``u``
+    off the first path found, a shortest one, cuts nothing and costs no
+    search.  An empty ``u_set`` reduces to plain feasibility.  One ``budget``
+    covers all the searches; raises :class:`SearchBudgetExceeded` when it
+    runs out.
     """
     u_set = _pinned_set(rg, u_set)
     clock = _BudgetClock(budget)
-    if rg.m <= 1:
-        path = _shortest_free_path(rg, clock)
-        return path is not None and all(
-            u in path and _shortest_free_path(rg, clock, 1 << u) is None for u in sorted(u_set)
-        )
-
-    def feasible_without(banned: int) -> bool:
-        return _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, banned, clock) is not None
-
-    return feasible_without(0) and not any(feasible_without(1 << u) for u in sorted(u_set))
+    g, a_set, b1, b2 = rg.graph, rg.a_set, rg.b1, rg.b2
+    path = _search_linkage(g, a_set, b1, b2, 0, clock)
+    one_root = rg.m <= 1
+    return path is not None and not any(
+        (one_root and u not in path) or _search_linkage(g, a_set, b1, b2, 1 << u, clock) is not None
+        for u in sorted(u_set)
+    )
 
 
 def two_linkage(
@@ -332,7 +316,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
     found = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, clock)
     if found is None:
         return RemovableReport(None, "infeasible", 0)
-    b_path = Path(found[1])
+    b_path = Path(found)
     anchor = 1 << rg.a_set[0] if rg.a_set else 0
     history: list[tuple[int, ...]] = []
     iterations = 0

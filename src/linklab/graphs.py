@@ -211,13 +211,12 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def bits_of(mask: int) -> list[int]:
+    """The set bits of ``mask`` in increasing order, one lowest-bit step each."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -276,12 +275,6 @@ def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     alive = mask_of(s)
     seed = min(s)
     return component_mask(g.adjacency_masks, alive, seed) == alive
-
-
-def components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertices into components, ordered by smallest vertex."""
-    alive = (1 << g.vertex_count) - 1
-    return [frozenset(bits_of(m)) for m in components_masks(g.adjacency_masks, alive)]
 
 
 def validate_collection(
@@ -374,15 +367,3 @@ def contract_collection(
 def augment_rooted(rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()) -> Graph:
     """:func:`augment_masks` as a graph on dense ids."""
     return _graph_of_rows(augment_masks(rg, x, forbidden)[0])[0]
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """The subgraph induced on ``keep``, plus the old-to-new relabeling map."""
-    keep = sorted(set(keep))
-    for v in keep:
-        g._check_vertex(v)
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = frozenset(
-        (relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel
-    )
-    return Graph(len(keep), edges), relabel

@@ -40,6 +40,14 @@ def _components_of(g: Graph, removed: set[int]) -> list[set[int]]:
     return out
 
 
+def induced_subgraph(g: Graph, keep: set[int]) -> tuple[Graph, dict[int, int]]:
+    """The subgraph induced on ``keep``, relabelled in increasing order, plus
+    the old-to-new map."""
+    relabel = {v: i for i, v in enumerate(sorted(keep))}
+    edges = [(relabel[u], relabel[v]) for u, v in g.edges if u in keep and v in keep]
+    return Graph.from_edges(len(relabel), edges), relabel
+
+
 def all_simple_paths(g: Graph, s: int, t: int) -> list[tuple[int, ...]]:
     """Every simple s-t path, by plain recursive extension."""
     adj = _adjacency(g)

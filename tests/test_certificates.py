@@ -390,7 +390,7 @@ class TestTheoremCheck:
         from linklab.feasibility import SearchBudget
 
         budget = SearchBudget(max_nodes_expanded=2)
-        verdict = theorem_check(RootedGraph(Graph.complete(8), (0, 1), 2, 7), budget)
+        verdict = theorem_check(trigrid(4, 5, 6), budget)
         assert verdict.outcome == "inconclusive"
         assert verdict.budget == budget
         assert verdict.to_dict()["budget"]["max_nodes_expanded"] == 2
@@ -402,9 +402,10 @@ class TestTheoremCheck:
         dfs, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rg, dfs) is None
         assert search_collection(rg, "linkage", budget=search).holds
-        assert (dfs.ticks, search.ticks) == (174, 1797)
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1970)).outcome == "inconclusive"
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1971)).outcome == "certified"
+        # 22 shortest-path dequeues, then 174 DFS nodes.
+        assert (dfs.ticks, search.ticks) == (196, 1797)
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1992)).outcome == "inconclusive"
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1993)).outcome == "certified"
 
     def test_verdict_serialization(self):
         verdict = theorem_check(gmk_graph(2, 1))

@@ -165,11 +165,11 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys):
-    path = write(tmp_path, "8 28\n" + "\n".join(
-        f"{u} {v}" for u in range(8) for v in range(u + 1, 8)) + "\n")
+    # trigrid(4, 5, 6) is infeasible, and its linkage search takes 196 nodes.
+    path = write(tmp_path, serialize_graph(trigrid(4, 5, 6).graph))
     code, out, _ = run(
         capsys,
-        ["feasible", "-i", path, "--roots", "a:0,1 b:2,7", "--budget-nodes", "2"],
+        ["feasible", "-i", path, "--roots", "a:0,19 b:4,15", "--budget-nodes", "2"],
     )
     assert code == 3
     assert json.loads(out)["outcome"] == "budget-exhausted"
@@ -238,15 +238,33 @@ def test_removable_k_check_spends_one_budget(tmp_path, capsys):
     assert json.loads(out)["warnings"] == []
 
 
+def test_highly_connected_instance_answers_inside_a_small_budget(tmp_path, capsys):
+    # C_100^5 is 10-connected, so m = 2 is feasible by the theorem, and the
+    # shortest b1-b2 path (83 dequeues) is a witness and already removable.
+    # The k-check spends 59,992 nodes on the flows, the path 84 more.
+    edges = sorted({tuple(sorted((v, (v + d) % 100))) for v in range(100) for d in range(1, 6)})
+    path = write(tmp_path, f"100 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    roots = ["--roots", "a:7,80 b:3,50"]
+    code, out, _ = run(capsys, ["feasible", "-i", path, *roots, "--budget-nodes", "1000"])
+    assert code == 0
+    assert json.loads(out)["outcome"] == "feasible"
+    argv = ["removable", "-i", path, *roots, "--k-check", "--budget-nodes", "100000"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["outcome"], payload["iterations"], payload["warnings"]) == ("ok", 0, [])
+
+
 def test_certify_spends_one_budget(tmp_path, capsys):
-    # trigrid(4, 5, 6) takes 174 DFS nodes and 1,797 certificate nodes.
+    # trigrid(4, 5, 6) takes 196 linkage nodes (22 shortest-path dequeues and
+    # 174 DFS nodes) and 1,797 certificate nodes.
     rg = trigrid(4, 5, 6)
     path = write(tmp_path, serialize_graph(rg.graph))
     argv = ["certify", "-i", path, "--roots", "a:0,19 b:4,15", "--budget-nodes"]
-    code, out, _ = run(capsys, argv + ["1970"])
+    code, out, _ = run(capsys, argv + ["1992"])
     assert code == 3
     assert json.loads(out)["outcome"] == "inconclusive"
-    code, out, _ = run(capsys, argv + ["1971"])
+    code, out, _ = run(capsys, argv + ["1993"])
     assert code == 0
     assert json.loads(out)["outcome"] == "certified"
 

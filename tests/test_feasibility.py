@@ -11,7 +11,6 @@ from linklab.feasibility import (
     EXHAUSTIVE,
     SearchBudget,
     _BudgetClock,
-    _search_linkage,
     find_linkage_pair,
     is_critically_feasible,
     is_feasible,
@@ -55,8 +54,9 @@ class TestFindLinkagePair:
         assert pair.a_part == {3, 4, 5}
 
     def test_budget_exhaustion_is_distinct(self):
-        # b2 = 7 is the last candidate at every level, forcing a deep dive.
-        rg = RootedGraph(Graph.complete(8), (0, 1), 2, 7)
+        # Infeasible: the shortest path alone takes 22 dequeues, the DFS
+        # that refutes every induced path 174 nodes more.
+        rg = trigrid(4, 5, 6)
         with pytest.raises(SearchBudgetExceeded):
             find_linkage_pair(rg, SearchBudget(max_nodes_expanded=2))
 
@@ -75,6 +75,27 @@ class TestFindLinkagePair:
                 (u, v) for i, u in enumerate(path) for v in path[i + 2:] if rg.graph.has_edge(u, v)
             }
             assert not chords
+
+    @pytest.mark.parametrize(
+        "m, instances, feasible",
+        [(2, 234_366, 150_408), (3, 228_940, 120_064), (4, 111_960, 47_799)],
+        ids=["m2", "m3", "m4"],
+    )
+    def test_witnesses_are_induced_exhaustively(self, m, instances, feasible):
+        # Every witness on at most 7 vertices validates and has no chord, and
+        # the feasible counts are those the DFS gave without the shortest-path
+        # start.
+        counts = [0, 0]
+        for g in small_graphs(7, min_n=m + 2):
+            for rg in rooted_instances(g, m):
+                counts[0] += 1
+                pair = find_linkage_pair(rg)
+                if pair is not None:
+                    counts[1] += 1
+                    pair.validate(rg)
+                    path = pair.b_path.vertices
+                    assert not any(g.has_edge(u, v) for i, u in enumerate(path) for v in path[i + 2:])
+        assert counts == [instances, feasible]
 
     def test_budget_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -233,6 +254,14 @@ class TestCriticalFeasibility:
         with pytest.raises(InvalidInputError):
             is_critically_feasible(rg, {0})
 
+    def test_vertex_off_the_path_can_be_critical_at_two_roots(self):
+        # The path 0-1-2 avoids 5, but 5 alone joins the roots 3 and 4, so
+        # at m = 2 a u off the first path found still needs its own search.
+        rg = RootedGraph(Graph.from_edges(6, [(0, 1), (1, 2), (3, 5), (4, 5)]), (3, 4), 0, 2)
+        assert find_linkage_pair(rg).b_path.vertices == (0, 1, 2)
+        assert is_critically_feasible(rg, {5})
+        assert naive_critical_by_deletion(rg, frozenset({5}))
+
     @given(rooted_graphs(max_m=1, max_n=7), st.data())
     @settings(max_examples=250)
     def test_matches_deletion_oracle(self, rg, data):
@@ -246,19 +275,28 @@ class TestCriticalFeasibility:
 
 
 class TestClosedFormsAtMostOneRoot:
-    """For m <= 1 feasibility and critical feasibility are reachability
-    questions; these tests hold them to the DFS kernel and pin their ticks."""
+    """For m <= 1 the kernel's first path, the BFS shortest one, is always the
+    witness, so feasibility and critical feasibility are reachability
+    questions; these tests hold them to a reachability oracle and pin their
+    ticks."""
 
-    def test_match_the_dfs_kernel_exhaustively(self):
+    def test_match_a_reachability_oracle_exhaustively(self):
         mismatches = []
         for g in small_graphs(7):
+            cache = {}
+
+            def joined(rg, removed):
+                # Whether b1 and b2 share a component of G - a_set - removed.
+                key = (rg.a_set, removed)
+                if key not in cache:
+                    cache[key] = _components_of(g, set(rg.a_set) | removed)
+                return any({rg.b1, rg.b2} <= c for c in cache[key])
+
             for m in (0, 1):
-                if g.vertex_count < m + 2:
-                    continue
                 for rg in rooted_instances(g, m):
-                    dfs = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, _BudgetClock(EXHAUSTIVE))
+                    feasible = joined(rg, frozenset())
                     pair = find_linkage_pair(rg)
-                    if (pair is None) != (dfs is None):
+                    if (pair is not None) != feasible:
                         mismatches.append(("feasible", rg))
                         continue
                     if pair is not None:
@@ -269,12 +307,9 @@ class TestClosedFormsAtMostOneRoot:
                             (c for c in _components_of(g, set(path)) if rg.a_set[0] in c), set()
                         ) if m else set()
                         assert pair.a_part == expected
-                    assert is_critically_feasible(rg, frozenset()) == (dfs is not None)
+                    assert is_critically_feasible(rg, frozenset()) == feasible
                     for u in sorted(set(range(g.vertex_count)) - rg.roots):
-                        # Deleting u leaves feasible any instance whose DFS path avoids u.
-                        cut = dfs is not None and u in dfs[1] and _search_linkage(
-                            g, rg.a_set, rg.b1, rg.b2, 1 << u, _BudgetClock(EXHAUSTIVE)
-                        ) is None
+                        cut = feasible and not joined(rg, frozenset({u}))
                         if is_critically_feasible(rg, {u}) != cut:
                             mismatches.append(("critical", rg, u))
         assert not mismatches, mismatches[:5]

@@ -13,15 +13,14 @@ from linklab.graphs import (
     Path,
     RootedGraph,
     augment_rooted,
-    components,
+    components_masks,
     contract_collection,
-    induced_subgraph,
     is_connected_set,
     mask_of,
     neighborhood_mask,
     validate_collection,
 )
-from oracles import brute_collection_valid, neighbourhood
+from oracles import _components_of, brute_collection_valid, induced_subgraph, neighbourhood
 from strategies import collections_in, graphs, rooted_graphs
 
 
@@ -85,14 +84,18 @@ class TestNeighborhood:
 
 
 class TestComponents:
+    @staticmethod
+    def split(g: Graph) -> list[int]:
+        return components_masks(g.adjacency_masks, (1 << g.vertex_count) - 1)
+
     def test_edgeless(self):
-        assert components(Graph(3)) == [{0}, {1}, {2}]
+        assert self.split(Graph(3)) == [mask_of({0}), mask_of({1}), mask_of({2})]
 
     def test_cycle(self):
-        assert components(Graph.cycle(4)) == [{0, 1, 2, 3}]
+        assert self.split(Graph.cycle(4)) == [mask_of({0, 1, 2, 3})]
 
     def test_two_edges(self):
-        assert components(Graph.from_edges(4, [(0, 1), (2, 3)])) == [{0, 1}, {2, 3}]
+        assert self.split(Graph.from_edges(4, [(0, 1), (2, 3)])) == [mask_of({0, 1}), mask_of({2, 3})]
 
 
 class TestContraction:
@@ -236,9 +239,7 @@ class TestCollectionValidation:
         x = data.draw(collections_in(g))
         parts = []
         for member in x:
-            sub, relabel = induced_subgraph(g, member)
-            back = {i: v for v, i in relabel.items()}
-            parts.extend(frozenset(back[i] for i in comp) for comp in components(sub))
+            parts.extend(frozenset(c) for c in _components_of(g, set(range(g.vertex_count)) - member))
         split = Collection(parts)
         validate_collection(g, split)
         assert all(is_connected_set(g, m) for m in split)
