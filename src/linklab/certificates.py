@@ -12,9 +12,23 @@ Two certificate flavors share one report shape:
 All bound arithmetic is done in doubled integers so the half-integer terms
 stay exact.  ``search_collection`` is an exhaustive family search over
 connected candidate members: splitting a member into its components never
-weakens a certificate, so the restriction loses nothing.  The candidates
-are found as components left by deleting at most ``cap`` vertices, so their
-enumeration is polynomial for a fixed cap.
+weakens a certificate, so the restriction loses nothing.
+
+The candidates are enumerated by branching on their boundary (as for
+connected sets with a bounded neighborhood in Fomin and Villanger,
+*Treewidth computation and extremal combinatorics*, 2012).  A member ``C``
+grows from its lowest vertex ``v``; forbidden vertices and allowed vertices
+below ``v`` that touch ``C`` are committed to the boundary ``X`` at once,
+and the lowest undecided neighbor of ``C`` either joins ``C`` or joins
+``X``.  A branch dies once ``|X| > cap``.  This is exact: for a qualifying
+``C`` the path that puts exactly ``C`` in and ``N(C)`` out is never pruned,
+since ``|N(C)| <= cap``, and it ends at ``C``; conversely every recorded set
+is connected, avoids the forbidden set and has ``N(C) = X``.  Distinct paths
+disagree on some vertex, so no set is recorded twice.  Once ``|X| = cap``
+every other neighbor must join ``C``, so one component search ends the
+branch; at most ``cap`` branch vertices join ``X`` on a path, so the
+enumeration is polynomial for a fixed cap.  Each branch node ticks the
+budget once.
 """
 
 from __future__ import annotations
@@ -199,30 +213,45 @@ def _candidate_members(
     neighbors, as ``(member, neighborhood)`` mask pairs in (size,
     lexicographic) order of the members.
 
-    Such a set ``C`` is a component of ``G[allowed] - Y`` for
-    ``Y = N(C) & allowed``, a set of at most ``cap`` allowed vertices, so the
-    search runs over those separators ``Y`` only.  Every separator tried
-    ticks ``clock``."""
+    Each member ``C`` grows from its lowest vertex ``v`` by branching on
+    its boundary (see the module docstring).  A frame holds ``C``, ``N(C)``
+    and the committed part ``X`` of ``N(C)``.  At ``|X| = cap`` the member
+    is the component of ``v`` in ``allowed - below(v) - X``, kept iff its
+    neighborhood is exactly ``X``.  Every frame ticks ``clock``."""
     adj = g.adjacency_masks
     allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
-    allowed_vertices = bits_of(allowed)
-    found: dict[int, int] = {}
-    for size in range(cap + 1):
-        for separator in itertools.combinations(allowed_vertices, size):
+    found = []
+    for v in bits_of(allowed):
+        barred = ~allowed | ((1 << v) - 1)  # never in a member whose lowest vertex is v
+        stack = [(1 << v, adj[v], adj[v] & barred)]
+        while stack:
+            member, nbhd, committed = stack.pop()
             clock.tick()
-            for comp in components_masks(adj, allowed & ~mask_of(separator)):
-                if comp not in found:
-                    nbhd = neighborhood_mask(adj, comp)
-                    if nbhd.bit_count() <= cap:
-                        found[comp] = nbhd
-    return sorted(found.items(), key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
+            size = committed.bit_count()
+            if size > cap:
+                continue
+            undecided = nbhd & ~committed
+            if not undecided:
+                found.append((member, nbhd))
+            elif size == cap:
+                comp = component_mask(adj, ~barred & ~committed, v)
+                if neighborhood_mask(adj, comp) == committed:
+                    found.append((comp, committed))
+            else:
+                low = undecided & -undecided
+                grown = member | low
+                grown_nbhd = (nbhd | adj[low.bit_length() - 1]) & ~grown
+                stack.append((member, nbhd, committed | low))
+                stack.append((grown, grown_nbhd, committed | grown_nbhd & barred))
+    return sorted(found, key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
 
 
 def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
     order with the empty collection first.  The precomputation ticks
-    ``clock`` per candidate separator and per compatibility row."""
+    ``clock`` per branch node of the candidate enumeration and per
+    compatibility row."""
     yield Collection()
     pairs = _candidate_members(g, forbidden, cap, clock)
     candidates = [frozenset(bits_of(member)) for member, _ in pairs]

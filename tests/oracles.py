@@ -210,6 +210,29 @@ def brute_candidate_members(g: Graph, forbidden: set[int], cap: int) -> list[fro
     return out
 
 
+def separator_candidate_members(g: Graph, forbidden: set[int], cap: int) -> list[frozenset[int]]:
+    """The sets :func:`brute_candidate_members` lists, found as components
+    left by deleting at most ``cap`` allowed vertices: such a set ``C`` is a
+    component of ``G[allowed] - Y`` for ``Y = N(C) - forbidden``."""
+    adj = _adjacency(g)
+    allowed = [v for v in range(g.vertex_count) if v not in forbidden]
+    found: set[frozenset[int]] = set()
+    for size in range(cap + 1):
+        for separator in itertools.combinations(allowed, size):
+            unseen = set(allowed) - set(separator)
+            while unseen:
+                comp = {unseen.pop()}
+                stack = list(comp)
+                while stack:
+                    for y in adj[stack.pop()] & unseen:
+                        unseen.discard(y)
+                        comp.add(y)
+                        stack.append(y)
+                if len(set().union(*(adj[v] for v in comp)) - comp) <= cap:
+                    found.add(frozenset(comp))
+    return sorted(found, key=lambda member: (len(member), sorted(member)))
+
+
 def brute_certificate(
     rg: RootedGraph, members: list[frozenset[int]], kind: str, u_count: int = 0
 ) -> tuple[int, int, bool]:

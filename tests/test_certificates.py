@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from itertools import islice
 
 import pytest
@@ -25,7 +26,13 @@ from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudg
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of
 from linklab.planarity import find_seymour_certificate
-from oracles import brute_candidate_members, brute_certificate, naive_is_feasible, neighbourhood
+from oracles import (
+    brute_candidate_members,
+    brute_certificate,
+    naive_is_feasible,
+    neighbourhood,
+    separator_candidate_members,
+)
 from strategies import collections_in, rooted_graphs, trigrid
 
 
@@ -242,21 +249,39 @@ class TestSearchCollection:
                 assert _candidate_members(rg.graph, rg.roots, rg.m + 1, clock) == []
 
     def test_candidate_members_match_brute_force(self):
-        # Every graph with n <= 7, every forbidden set of 2-4 vertices, and
-        # the caps |forbidden| - 1 and |forbidden|: the separator enumeration
+        # Every graph with n <= 7, every forbidden set of 0-4 vertices, and
+        # every cap from 0 to max(|forbidden|, 2): the branching enumeration
         # lists exactly the sets the every-subset oracle accepts, in order.
+        # Caps below |forbidden| - 1 are what critical searches run (the
+        # roots and U forbidden, cap m + 2).
         from linklab.harness import small_graphs
 
         for g in small_graphs(7):
-            for size in (2, 3, 4):
+            for size in range(5):
                 for forbidden in itertools.combinations(range(g.vertex_count), size):
-                    for cap in (size - 1, size):
+                    top = max(size, 2)
+                    brute = [(member, neighbourhood(g, member))
+                             for member in brute_candidate_members(g, set(forbidden), top)]
+                    for cap in range(top + 1):
                         clock = _BudgetClock(EXHAUSTIVE)
-                        got = _candidate_members(g, frozenset(forbidden), cap, clock)
-                        members = [frozenset(bits_of(member)) for member, _ in got]
-                        assert members == brute_candidate_members(g, set(forbidden), cap)
-                        for member, (_, nbhd) in zip(members, got):
-                            assert set(bits_of(nbhd)) == neighbourhood(g, member)
+                        got = [(frozenset(bits_of(member)), set(bits_of(nbhd)))
+                               for member, nbhd in _candidate_members(g, frozenset(forbidden), cap, clock)]
+                        assert got == [(member, nbhd) for member, nbhd in brute if len(nbhd) <= cap]
+
+    def test_candidate_members_match_separator_oracle_on_larger_graphs(self):
+        # Seeded G(n, p) graphs with n 8-16, beyond the every-subset
+        # oracle's reach: the same list as deleting every separator of at
+        # most cap allowed vertices.
+        rng = random.Random(20121)
+        for _ in range(200):
+            n = rng.randint(8, 16)
+            p = rng.uniform(0.1, 0.6)
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            forbidden = set(rng.sample(range(n), rng.randint(0, 4)))
+            cap = rng.randint(0, 4)
+            got = _candidate_members(g, frozenset(forbidden), cap, _BudgetClock(EXHAUSTIVE))
+            expected = separator_candidate_members(g, forbidden, cap)
+            assert [frozenset(bits_of(member)) for member, _ in got] == expected
 
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -351,9 +376,11 @@ class TestSearchCollection:
     ids=["nodes", "time"],
 )
 def test_budget_bounds_candidate_enumeration(search, budget):
-    # 38 non-root vertices: the 9,178 separators of at most 3 of them precede
-    # the first nonempty family, far more than 1,000 nodes or 10 ms of work.
-    rg = trigrid(6, 6, 6)
+    # The 16-clump keeps the empty collection from certifying, and the
+    # candidate enumeration precedes the first nonempty family: on these
+    # 914 non-root vertices it takes 6,742 branch nodes and 1.9 s (2-vCPU
+    # VM), far more than 1,000 nodes or 10 ms of work.
+    rg = trigrid(30, 30, 16)
     with pytest.raises(SearchBudgetExceeded):
         search(rg, budget)
 
@@ -402,10 +429,11 @@ class TestTheoremCheck:
         dfs, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rg, dfs) is None
         assert search_collection(rg, "linkage", budget=search).holds
-        # 22 shortest-path dequeues, then 174 DFS nodes.
-        assert (dfs.ticks, search.ticks) == (196, 1797)
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1992)).outcome == "inconclusive"
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=1993)).outcome == "certified"
+        # 22 shortest-path dequeues, then 174 DFS nodes; 80 branch nodes of
+        # the candidate enumeration, one compatibility row and two families.
+        assert (dfs.ticks, search.ticks) == (196, 83)
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=278)).outcome == "inconclusive"
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=279)).outcome == "certified"
 
     def test_verdict_serialization(self):
         verdict = theorem_check(gmk_graph(2, 1))
