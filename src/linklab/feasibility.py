@@ -111,13 +111,15 @@ def _search_linkage(
     or ``None`` when none exists.
 
     The BFS shortest path comes first (see the module docstring).  The DFS
-    that follows it applies three prunes, none of which loses a witness.
-    Deleting vertices never merges components, so a partial path that
-    already separates the ``a_i``, or cuts its own endpoint off from ``b2``,
-    can never be completed.  And a vertex adjacent to the path before its end
-    is skipped: the shortest path inside a witness's own vertex set is
-    induced, and it only merges components of ``G - P``, so it is a witness
-    too.
+    that follows it searches induced paths only, which loses no witness: the
+    shortest path inside a witness's own vertex set is induced, and it only
+    merges components of ``G - P``, so it is a witness too.  A continuation
+    after the new end ``v`` therefore stays in ``room``: off the ``a_i`` and
+    the path, and off every neighbour of the path before ``v`` (``near``
+    stacks those neighbour masks).  ``v`` draws its children from ``room``,
+    and is pruned when ``b2`` is out of its reach inside ``room`` plus ``v``,
+    or when the path already separates the ``a_i`` (deleting vertices never
+    merges components); neither prune cuts a subtree holding a witness.
     """
     adj = g.adjacency_masks
     a_mask = mask_of(a_set)
@@ -134,14 +136,14 @@ def _search_linkage(
 
     path = [b1]
     on_path = 1 << b1
+    near = [0]
     iters = [iter(bits_of(adj[b1] & free))]
     while iters:
         v = next(iters[-1], -1)
         if v < 0:
             iters.pop()
+            near.pop()
             on_path &= ~(1 << path.pop())
-            continue
-        if adj[v] & on_path & ~(1 << path[-1]):
             continue
         clock.tick()
         new_on = on_path | 1 << v
@@ -150,13 +152,16 @@ def _search_linkage(
             if not a_mask & ~component_mask(adj, rest, a_seed):
                 return path + [v]
             continue
-        if not component_mask(adj, rest | 1 << v, v) >> b2 & 1:
+        blocked = near[-1] | adj[path[-1]]
+        room = free & ~(new_on | blocked)
+        if not component_mask(adj, room | 1 << v, v) >> b2 & 1:
             continue
         if a_mask & ~component_mask(adj, rest, a_seed):
             continue
         path.append(v)
         on_path = new_on
-        iters.append(iter(bits_of(adj[v] & rest & ~a_mask)))
+        near.append(blocked)
+        iters.append(iter(bits_of(adj[v] & room)))
     return None
 
 

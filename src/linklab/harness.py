@@ -22,8 +22,9 @@ from .errors import InvalidInputError, SearchBudgetExceeded
 from .feasibility import (
     EXHAUSTIVE,
     SearchBudget,
+    _BudgetClock,
+    _search_linkage,
     find_linkage_pair,
-    is_critically_feasible,
     removable_path,
 )
 from .graphio import serialize_graph6
@@ -310,10 +311,10 @@ def _cross_checks(rg: RootedGraph, verdict, budget: SearchBudget) -> str | None:
             return "no planar certificate for an infeasible instance"
     if rg.m <= 1 and verdict.outcome == "feasible":
         # On a feasible instance U is critical exactly when each u in U is
-        # (the deletion form), so one decision per interior vertex suffices.
+        # (the deletion form), so one deletion search per interior vertex decides it.
         pinned = [
-            v for v in verdict.pair.b_path.vertices
-            if v not in (rg.b1, rg.b2) and is_critically_feasible(rg, {v}, budget)
+            v for v in verdict.pair.b_path.vertices[1:-1]
+            if _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 1 << v, _BudgetClock(budget)) is None
         ]
         for size in range(len(pinned) + 1):
             for u_combo in itertools.combinations(pinned, size):

@@ -79,6 +79,17 @@ def _path_is_witness(g: Graph, a_set: tuple[int, ...], path: tuple[int, ...]) ->
     return any(set(a_set) <= comp for comp in comps)
 
 
+def first_induced_witness(rg: RootedGraph) -> tuple[int, ...] | None:
+    """The lexicographically first chordless b1-b2 path meeting the component
+    condition; :func:`all_simple_paths` lists paths in that order."""
+    adj = _adjacency(rg.graph)
+    for p in all_simple_paths(rg.graph, rg.b1, rg.b2):
+        chordless = not any(p[j] in adj[p[i]] for i in range(len(p)) for j in range(i + 2, len(p)))
+        if chordless and _path_is_witness(rg.graph, rg.a_set, p):
+            return p
+    return None
+
+
 def naive_is_feasible(rg: RootedGraph) -> bool:
     """Check every b1-b2 path for the component condition."""
     return any(

@@ -429,11 +429,11 @@ class TestTheoremCheck:
         dfs, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rg, dfs) is None
         assert search_collection(rg, "linkage", budget=search).holds
-        # 22 shortest-path dequeues, then 174 DFS nodes; 80 branch nodes of
+        # 22 shortest-path dequeues, then 172 DFS nodes; 80 branch nodes of
         # the candidate enumeration, one compatibility row and two families.
-        assert (dfs.ticks, search.ticks) == (196, 83)
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=278)).outcome == "inconclusive"
-        assert theorem_check(rg, SearchBudget(max_nodes_expanded=279)).outcome == "certified"
+        assert (dfs.ticks, search.ticks) == (194, 83)
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=276)).outcome == "inconclusive"
+        assert theorem_check(rg, SearchBudget(max_nodes_expanded=277)).outcome == "certified"
 
     def test_verdict_serialization(self):
         verdict = theorem_check(gmk_graph(2, 1))

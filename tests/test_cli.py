@@ -165,7 +165,7 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_budget_exhausted_exit_code(tmp_path, capsys):
-    # trigrid(4, 5, 6) is infeasible, and its linkage search takes 196 nodes.
+    # trigrid(4, 5, 6) is infeasible, and its linkage search takes 194 nodes.
     path = write(tmp_path, serialize_graph(trigrid(4, 5, 6).graph))
     code, out, _ = run(
         capsys,
@@ -256,28 +256,28 @@ def test_highly_connected_instance_answers_inside_a_small_budget(tmp_path, capsy
 
 
 def test_certify_spends_one_budget(tmp_path, capsys):
-    # trigrid(4, 5, 6) takes 196 linkage nodes (22 shortest-path dequeues and
-    # 174 DFS nodes) and 83 certificate nodes (80 of candidate enumeration).
+    # trigrid(4, 5, 6) takes 194 linkage nodes (22 shortest-path dequeues and
+    # 172 DFS nodes) and 83 certificate nodes (80 of candidate enumeration).
     rg = trigrid(4, 5, 6)
     path = write(tmp_path, serialize_graph(rg.graph))
     argv = ["certify", "-i", path, "--roots", "a:0,19 b:4,15", "--budget-nodes"]
-    code, out, _ = run(capsys, argv + ["278"])
+    code, out, _ = run(capsys, argv + ["276"])
     assert code == 3
     assert json.loads(out)["outcome"] == "inconclusive"
-    code, out, _ = run(capsys, argv + ["279"])
+    code, out, _ = run(capsys, argv + ["277"])
     assert code == 0
     assert json.loads(out)["outcome"] == "certified"
 
 
 def test_certify_trigrid_enumerates_candidates_inside_a_small_budget(tmp_path, capsys):
-    # trigrid(6, 6, 6) takes 4,232 linkage nodes and 183 certificate nodes,
+    # trigrid(6, 6, 6) takes 3,072 linkage nodes and 183 certificate nodes,
     # 180 of them branch nodes of the enumeration that finds its one
     # candidate member.
     rg = trigrid(6, 6, 6)
     path = write(tmp_path, serialize_graph(rg.graph))
     argv = ["certify", "-i", path, "--roots", "a:0,35 b:5,30", "--budget-nodes"]
-    for budget, code_expected, outcome in (("5000", 0, "certified"), ("4415", 0, "certified"),
-                                           ("4414", 3, "inconclusive")):
+    for budget, code_expected, outcome in (("5000", 0, "certified"), ("3255", 0, "certified"),
+                                           ("3254", 3, "inconclusive")):
         code, out, _ = run(capsys, argv + [budget])
         assert (code, json.loads(out)["outcome"]) == (code_expected, outcome)
 

@@ -11,16 +11,19 @@ from linklab.feasibility import (
     EXHAUSTIVE,
     SearchBudget,
     _BudgetClock,
+    _bfs_path,
     find_linkage_pair,
     is_critically_feasible,
     is_feasible,
     two_linkage,
 )
-from linklab.graphs import Graph, RootedGraph
+from linklab.graphs import Graph, RootedGraph, mask_of
 from linklab.harness import rooted_instances, small_graphs
 from oracles import (
     _components_of,
+    _path_is_witness,
     brute_two_linkage_exists,
+    first_induced_witness,
     naive_critical_by_deletion,
     naive_is_critically_feasible,
     naive_is_feasible,
@@ -65,6 +68,14 @@ class TestFindLinkagePair:
         # search over induced paths proves infeasibility well inside it.
         assert find_linkage_pair(trigrid(4, 5, 6), SearchBudget(max_nodes_expanded=5_000)) is None
 
+    def test_reachability_prune_stays_inside_the_induced_region(self):
+        # trigrid(6, 7, 6) is infeasible.  Testing b2-reachability only where
+        # an induced continuation may go cuts its search to 10,204 nodes;
+        # testing it over all of G - P - {a_i} would take 14,707.
+        clock = _BudgetClock(EXHAUSTIVE)
+        assert find_linkage_pair(trigrid(6, 7, 6), clock) is None
+        assert clock.ticks == 10_204
+
     @given(rooted_graphs(max_m=3, max_n=8))
     @settings(max_examples=300)
     def test_witness_path_is_induced(self, rg):
@@ -84,17 +95,25 @@ class TestFindLinkagePair:
     def test_witnesses_are_induced_exhaustively(self, m, instances, feasible):
         # Every witness on at most 7 vertices validates and has no chord, and
         # the feasible counts are those the DFS gave without the shortest-path
-        # start.
+        # start.  The path is the shortest-path start when that is a witness,
+        # else the oracle's first chordless witness: the DFS walks induced
+        # paths in lexicographic order and its prunes cut no witness.
         counts = [0, 0]
         for g in small_graphs(7, min_n=m + 2):
             for rg in rooted_instances(g, m):
                 counts[0] += 1
                 pair = find_linkage_pair(rg)
+                path = None if pair is None else pair.b_path.vertices
                 if pair is not None:
                     counts[1] += 1
                     pair.validate(rg)
-                    path = pair.b_path.vertices
                     assert not any(g.has_edge(u, v) for i, u in enumerate(path) for v in path[i + 2:])
+                free = ((1 << g.vertex_count) - 1) & ~mask_of(rg.a_set)
+                start = _bfs_path(g.adjacency_masks, free, rg.b1, rg.b2)
+                if start is not None and not _path_is_witness(g, rg.a_set, tuple(start)):
+                    assert path == first_induced_witness(rg)
+                else:
+                    assert path == (None if start is None else tuple(start))
         assert counts == [instances, feasible]
 
     def test_budget_must_be_positive(self):

@@ -59,7 +59,7 @@ def test_budget_propagates():
 
     import pytest
 
-    # Infeasible, and the linkage search alone takes 196 nodes.
+    # Infeasible, and the linkage search alone takes 194 nodes.
     with pytest.raises(SearchBudgetExceeded):
         removable_path(trigrid(4, 5, 6), SearchBudget(max_nodes_expanded=2))
 
