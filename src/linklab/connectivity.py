@@ -19,13 +19,15 @@ separate; two such neighbours on different sides are non-adjacent, and the
 flow between them counts ``|S|``.  Starting from a lower cap ``c`` instead,
 the same pairs give ``min(connectivity, c)``, which threshold tests use.
 
-Each flow between non-adjacent ``s`` and ``t`` starts from the paths
-``s-w-t`` through their common neighbours ``w``, up to the cap, and BFS
-augmentation finds only the rest.  By exchange, some maximum family of
-internally disjoint paths holds every such ``s-w-t``: a path through ``w``
-can be swapped for ``s-w-t``, and no maximum family misses ``w`` entirely.
-So the seeds never need cancelling, and a pair with at least ``limit``
-common neighbours is settled with no search.
+Each flow between non-adjacent ``s`` and ``t`` starts from a greedy family
+of disjoint short paths, up to the cap: first ``s-w-t`` through each common
+neighbour ``w``, then ``s-x-y-t`` with ``x`` a neighbour of ``s`` alone and
+``y`` a neighbour of ``t`` alone.  BFS augmentation finds the rest, and it
+cancels flow, so a poor greedy choice is repaired.  That is exact: the seeds
+are a feasible flow, a flow below the maximum always has an augmenting path
+(Ford and Fulkerson), and each one adds a path, so augmenting until none is
+left or the cap is reached gives ``min(maximum, cap)``.  A flow whose seeds
+reach the cap runs no search.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
     """Maximum number of internally disjoint s-t paths, capped at ``limit``, for
     non-adjacent ``s`` and ``t`` of the graph with adjacency masks ``adj``.  The flow
     starts from the paths ``s-w-t`` through the common neighbours in ``common`` (a
-    mask), at most ``limit``; BFS augmentation finds the rest.  One tick is one
-    seeded path or one network node dequeued.
+    mask), lowest ``w`` first, then from paths ``s-x-y-t``: each neighbour ``x`` of
+    ``s`` alone, lowest first, takes the lowest unused neighbour ``y`` of ``t`` alone
+    that it is adjacent to.  Seeding stops at ``limit`` paths; BFS augmentation
+    finds the rest.  One tick is one seeded path or one network node dequeued.
 
     The flow state is each vertex's flow successors and predecessors, as masks;
     only ``s`` and ``t`` hold more than one, and any other vertex carries flow
@@ -62,6 +66,23 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
         succ[s] |= 1 << w
         succ[w], pred[w] = 1 << t, 1 << s
         pred[t] |= 1 << w
+        flow += 1
+    # Past here every common neighbour is seeded, or the flow is at the limit,
+    # so x and y range over the neighbours of s alone and of t alone.
+    xs, ys = adj[s] & ~adj[t], adj[t] & ~adj[s]
+    while xs and ys and flow < limit:  # seed the paths s-x-y-t, lowest x first
+        x = (xs & -xs).bit_length() - 1
+        xs ^= 1 << x
+        y_options = adj[x] & ys
+        if not y_options:
+            continue
+        clock.tick()
+        y = (y_options & -y_options).bit_length() - 1
+        ys ^= 1 << y
+        succ[s] |= 1 << x
+        succ[x], pred[x] = 1 << y, 1 << s
+        succ[y], pred[y] = 1 << t, 1 << x
+        pred[t] |= 1 << y
         flow += 1
     source, sink = 2 * s + 1, 2 * t
     for flow in range(flow, limit):
@@ -117,7 +138,7 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     run on the adjacency masks.
 
     A budget node is one network node (an implicit in- or out-node) dequeued by an
-    augmenting-path search, or one seeded ``s-w-t`` path; raises
+    augmenting-path search, or one seeded path; raises
     :class:`SearchBudgetExceeded` when the budget, or a clock shared with other
     calls, runs out."""
     return _connectivity_up_to(g, g.vertex_count, budget)

@@ -120,7 +120,7 @@ class RootedGraph:
     def m(self) -> int:
         return len(self.a_set)
 
-    @property
+    @cached_property
     def roots(self) -> frozenset[int]:
         return frozenset((*self.a_set, self.b1, self.b2))
 

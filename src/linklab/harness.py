@@ -144,13 +144,15 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
         missing = [e for e in pairs if e not in g.edges]
         degree = [row.bit_count() for row in g.adjacency_masks]
-        while min(degree) < k or not has_connectivity_at_least(g, k, config.budget):
+        short = sum(d < k for d in degree)  # vertices still below degree k
+        while short or not has_connectivity_at_least(g, k, config.budget):
             e = rng.choice(missing)
             del missing[bisect.bisect_left(missing, e)]
             edges.append(e)
-            degree[e[0]] += 1
-            degree[e[1]] += 1
-            if min(degree) >= k:
+            for v in e:
+                degree[v] += 1
+                short -= degree[v] == k
+            if not short:
                 g = Graph.from_edges(n, edges)
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])

@@ -241,7 +241,7 @@ def test_removable_k_check_spends_one_budget(tmp_path, capsys):
 def test_highly_connected_instance_answers_inside_a_small_budget(tmp_path, capsys):
     # C_100^5 is 10-connected, so m = 2 is feasible by the theorem, and the
     # shortest b1-b2 path (83 dequeues) is a witness and already removable.
-    # The k-check spends 59,992 nodes on the flows, the path 84 more.
+    # The k-check spends 57,877 nodes on the flows, the path 84 more.
     edges = sorted({tuple(sorted((v, (v + d) % 100))) for v in range(100) for d in range(1, 6)})
     path = write(tmp_path, f"100 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     roots = ["--roots", "a:7,80 b:3,50"]

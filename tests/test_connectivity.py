@@ -17,7 +17,7 @@ from linklab.connectivity import (
 from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from linklab.graphs import Graph
-from linklab.harness import small_graphs
+from linklab.harness import CampaignConfig, gen_random_rooted, small_graphs
 from oracles import brute_local_connectivity, brute_min_separator
 from strategies import graphs
 
@@ -127,16 +127,47 @@ def test_pair_counts_match_networkx():
             assert _pair_count(g, s, t, n, _BudgetClock(EXHAUSTIVE)) == local_node_connectivity(nxg, s, t)
 
 
+def test_pair_counts_match_networkx_on_kconn_instances():
+    # The fuzz-removable regime: dense graphs drawn by the kconn generator.  At
+    # the campaign's cap 2m + 2, 879 of the 1,276 non-adjacent pairs of these 24
+    # graphs get at least one s-x-y-t seed.  Checked at that cap and uncapped.
+    for m, n_min, p in ((2, 14, 0.3), (4, 18, 0.35)):
+        config = CampaignConfig(seed=19, trials=12, n_min=n_min, n_max=n_min + 4, m=m,
+                                model="kconn", p=p)
+        for trial in range(config.trials):
+            g = gen_random_rooted(config, trial).graph
+            nxg = nx.Graph(list(g.edges))
+            for s, t in _non_adjacent_pairs(g):
+                exact = local_node_connectivity(nxg, s, t)
+                for limit in (2 * m + 2, g.vertex_count):
+                    assert _pair_count(g, s, t, limit, _BudgetClock(EXHAUSTIVE)) == min(exact, limit)
+
+
+def test_ladder_is_settled_by_seeding():
+    # s = 0 and t = 1 share no neighbour; s is joined to x_i = 2 + i, t to
+    # y_i = 2 + k + i, and x_i to y_i.  The lowest free y next to each x_i is
+    # y_i, so the k rungs are seeded as s-x_i-y_i-t, one tick each, and the
+    # flow reaches its cap k with no augmenting search.
+    for k in (1, 2, 5, 9):
+        edges = [(0, 2 + i) for i in range(k)] + [(1, 2 + k + i) for i in range(k)]
+        g = Graph.from_edges(2 + 2 * k, edges + [(2 + i, 2 + k + i) for i in range(k)])
+        clock = _BudgetClock(EXHAUSTIVE)
+        assert _pair_count(g, 0, 1, k, clock) == k
+        assert clock.ticks == k
+
+
 def test_augmenting_path_cancels_flow():
-    # The first path found from 0 to 5 is 0-1-3-5.  The second runs 0-2 into 3,
-    # back along the flow to 1, then 1-4-5, cancelling the flow on 1->3.
+    # 0 and 5 share no neighbour, so seeding takes 0-1-3-5 (the lowest x = 1
+    # with its lowest y = 3), and x = 2 finds its only y taken.  The augmenting
+    # path runs 0-2 into 3, back along the seeded flow to 1, then 1-4-5,
+    # cancelling the flow on 1->3.
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
     clock = _BudgetClock(EXHAUSTIVE)
     assert _pair_count(g, 0, 5, 6, clock) == 2
-    assert clock.ticks == 19
+    assert clock.ticks == 11
     clock = _BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(g, clock) == 2
-    assert clock.ticks == 32
+    assert clock.ticks == 24
 
 
 def test_path_needs_flows_from_one_source_only():
@@ -179,13 +210,13 @@ def test_common_neighbours_settle_complete_bipartite(k, extra):
 
 def test_circulant_within_a_small_budget():
     # C_100^5 (each vertex joined to the five nearest on each side) is
-    # 10-connected.  Far pairs share no neighbours, so seeding settles few
-    # flows; the pairs around v_0 take 121,689 ticks.
+    # 10-connected.  Most pairs around v_0 are more than three steps apart, so
+    # seeding settles few flows; they take 119,574 ticks.
     n = 100
     g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
     clock = _BudgetClock(SearchBudget(max_nodes_expanded=200_000))
     assert vertex_connectivity(g, clock) == 10
-    assert clock.ticks == 121_689
+    assert clock.ticks == 119_574
 
 
 def test_threshold_caps_every_flow():
@@ -195,7 +226,7 @@ def test_threshold_caps_every_flow():
     g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
     clock = _BudgetClock(EXHAUSTIVE)
     assert has_connectivity_at_least(g, 4, clock)
-    assert clock.ticks == 34_925
+    assert clock.ticks == 33_335
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes_expanded=10_000),

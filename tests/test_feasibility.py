@@ -1,6 +1,7 @@
 """Linkage-pair search against the naive all-paths oracle, plus properties."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,29 @@ class TestFindLinkagePair:
                 else:
                     assert path == (None if start is None else tuple(start))
         assert counts == [instances, feasible]
+
+    def test_witnesses_follow_the_child_order_on_larger_graphs(self):
+        # Seeded G(n, p) instances at m = 2 with 9 to 13 vertices, kept when the
+        # shortest path splits the a_i, so that the DFS decides them.  Its
+        # witness must be the oracle's first chordless one: the DFS tries the
+        # children of every node in increasing order.  Few instances with n <= 7
+        # have two chordless witnesses, so the exhaustive test above hardly
+        # constrains that order; here 22 of the 380 kept instances are feasible.
+        rng = random.Random(20261019)
+        kept = feasible = 0
+        for _ in range(1500):
+            n, p = rng.randint(9, 13), rng.uniform(0.18, 0.32)
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            *a_set, b1, b2 = rng.sample(range(n), 4)
+            rg = RootedGraph(g, tuple(a_set), b1, b2)
+            start = _bfs_path(g.adjacency_masks, ((1 << n) - 1) & ~mask_of(a_set), b1, b2)
+            if start is None or _path_is_witness(g, rg.a_set, tuple(start)):
+                continue
+            kept += 1
+            pair = find_linkage_pair(rg)
+            feasible += pair is not None
+            assert (None if pair is None else pair.b_path.vertices) == first_induced_witness(rg)
+        assert (kept, feasible) == (380, 22)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(InvalidInputError):
