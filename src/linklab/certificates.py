@@ -59,6 +59,7 @@ from .graphs import (
     components_masks,
     mask_of,
     neighborhood_mask,
+    validate_collection,
 )
 
 CertificateKind = Literal["linkage", "critical"]
@@ -136,38 +137,45 @@ class Verdict:
         return out
 
 
+def _kind_terms(rg: RootedGraph, kind: CertificateKind, u_set: Iterable[int]) -> tuple[frozenset, int, int]:
+    """The checked pinned set of a ``kind`` certificate, its neighborhood cap
+    and the doubled offset of its bound ``2e <= 2 cap v - offset``."""
+    u_set, m = frozenset(u_set), rg.m
+    if kind == "linkage":
+        if u_set:
+            raise InvalidInputError("the linkage certificate takes no u_set")
+        return u_set, m + 1, m * m + 3 * m + 2
+    if kind == "critical":
+        u_set = _pinned_set(rg, u_set)
+        return u_set, m + 2, m * m + 5 * m + 6 + 2 * len(u_set)
+    raise InvalidInputError(f"unknown certificate kind {kind!r}")
+
+
+def _doubled_sides(rg: RootedGraph, family: list[tuple[int, int]], cap: int, offset: int) -> tuple[int, int]:
+    """Twice the edge count of the augmented contraction of a valid ``family``, and twice its bound."""
+    rows = augment_masks(rg, family)
+    return sum(row.bit_count() for row in rows.values()), 2 * cap * len(rows) - offset
+
+
 def _verify_collection(
-    rg: RootedGraph,
-    kind: CertificateKind,
-    x: Collection,
-    cap: int,
-    forbidden: frozenset[int],
-    rhs_offset_doubled: int,
+    rg: RootedGraph, kind: CertificateKind, u_set: Iterable[int], x: Collection
 ) -> CertificateReport:
-    """The check both kinds share: contract and augment ``x`` once on
-    adjacency masks, then test ``2e <= 2 * cap * v - rhs_offset_doubled``."""
-    rows, neighborhoods = augment_masks(rg, x, forbidden)
-    lhs = sum(row.bit_count() for row in rows.values())
-    rhs = 2 * cap * len(rows) - rhs_offset_doubled
-    holds = all(nbhd.bit_count() <= cap for nbhd in neighborhoods) and lhs <= rhs
+    """The check both kinds share: validate ``x`` once, then test its masks."""
+    u_set, cap, offset = _kind_terms(rg, kind, u_set)
+    family = validate_collection(rg.graph, x, rg.roots | u_set)
+    lhs, rhs = _doubled_sides(rg, family, cap, offset)
+    holds = all(nbhd.bit_count() <= cap for _, nbhd in family) and lhs <= rhs
     return CertificateReport(kind, x, cap, lhs, rhs, holds)
 
 
 def verify_linkage_collection(rg: RootedGraph, x: Collection) -> CertificateReport:
     """Check the linkage certificate for ``x`` against the rooted graph."""
-    m = rg.m
-    return _verify_collection(rg, "linkage", x, m + 1, frozenset(), m * m + 3 * m + 2)
+    return _verify_collection(rg, "linkage", (), x)
 
 
-def verify_critical_collection(
-    rg: RootedGraph, u_set: Iterable[int], x: Collection
-) -> CertificateReport:
+def verify_critical_collection(rg: RootedGraph, u_set: Iterable[int], x: Collection) -> CertificateReport:
     """Check the critical certificate for ``x`` with pinned set ``u_set``."""
-    u_set = _pinned_set(rg, u_set)
-    m = rg.m
-    return _verify_collection(
-        rg, "critical", x, m + 2, u_set, m * m + 5 * m + 6 + 2 * len(u_set)
-    )
+    return _verify_collection(rg, "critical", u_set, x)
 
 
 def base_case_collection(rg: RootedGraph) -> Collection | None:
@@ -249,12 +257,12 @@ def _candidate_members(
 def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
-    order with the empty collection first.  The precomputation ticks
-    ``clock`` per branch node of the candidate enumeration and per
+    order with the empty collection first, each as the tuple of mask pairs
+    :func:`validate_collection` would return for it.  The precomputation
+    ticks ``clock`` per branch node of the candidate enumeration and per
     compatibility row."""
-    yield Collection()
+    yield ()
     pairs = _candidate_members(g, forbidden, cap, clock)
-    candidates = [frozenset(bits_of(member)) for member, _ in pairs]
     compatible = []
     for member, nbhd in pairs:
         clock.tick()
@@ -269,8 +277,8 @@ def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _Budg
         if joinable:
             i = (joinable & -joinable).bit_length() - 1
             stack.append((family, joinable & (joinable - 1)))
-            family += (i,)
-            yield Collection(candidates[j] for j in family)
+            family += (pairs[i],)
+            yield family
             stack.append((family, joinable & compatible[i]))
 
 
@@ -283,31 +291,20 @@ def search_collection(
     """Exhaustive search for a collection whose certificate holds.
 
     Families are enumerated depth-first over compatible candidate members in
-    canonical order, the empty collection first; each family is tested as it
-    is formed, and the report of the first passing collection is returned.
-    ``None`` is returned only after the whole space is exhausted.
+    canonical order, the empty collection first; each is tested on its masks
+    as it is formed (the caps hold by construction), and the report of the
+    first passing collection is returned, ``None`` only after exhaustion.
     Restricting candidates to connected members is lossless (see module
     docstring).  ``budget`` may be a clock running since an earlier call.
     """
-    u_set = frozenset(u_set)
-    if kind == "linkage":
-        if u_set:
-            raise InvalidInputError("the linkage certificate takes no u_set")
-        cap = rg.m + 1
-    elif kind == "critical":
-        cap = rg.m + 2
-    else:
-        raise InvalidInputError(f"unknown certificate kind {kind!r}")
-
+    u_set, cap, offset = _kind_terms(rg, kind, u_set)
     clock = _clock_of(budget)
-    for coll in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
+    for family in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
         clock.tick()
-        if kind == "linkage":
-            report = verify_linkage_collection(rg, coll)
-        else:
-            report = verify_critical_collection(rg, u_set, coll)
-        if report.holds:
-            return report
+        lhs, rhs = _doubled_sides(rg, family, cap, offset)
+        if lhs <= rhs:
+            x = Collection(frozenset(bits_of(member)) for member, _ in family)
+            return CertificateReport(kind, x, cap, lhs, rhs, True)
     return None
 
 

@@ -6,12 +6,14 @@ is a pure function.  Vertex ids are dense integers ``0..n-1``.
 
 Algorithms read adjacency bitmasks (``Graph.adjacency_masks``) and vertex
 sets as masks.  The contraction is the heart of the module:
-``contract_masks`` deletes each member of a collection and ORs a clique on
-its neighborhood into the surviving adjacency rows, and ``augment_masks``
-also joins every root pair except ``(b1, b2)``.  Certificate checks count
-these rows, and the planar certificate tests disc planarity on them;
-``contract_collection`` and ``augment_rooted`` give the same results as a
-``Graph`` on dense ids.
+``contract_masks`` deletes each member of a family and ORs a clique on its
+neighborhood into the surviving adjacency rows, and ``augment_masks`` also
+joins every root pair except ``(b1, b2)``.  Certificate checks count these
+rows, and the planar certificate tests disc planarity on them.  A family
+is a list of ``(member, neighborhood)`` mask pairs, validated once, at the
+boundary: :func:`validate_collection` turns an outside ``Collection`` into
+one and the certificate searches enumerate valid ones, so the mask
+operators check nothing.
 """
 
 from __future__ import annotations
@@ -108,21 +110,20 @@ class RootedGraph:
     b1: int
     b2: int
 
+    roots: frozenset[int] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_set", tuple(self.a_set))
         roots = (*self.a_set, self.b1, self.b2)
         for v in roots:
             self.graph._check_vertex(v)
-        if len(set(roots)) != len(roots):
+        object.__setattr__(self, "roots", frozenset(roots))
+        if len(self.roots) != len(roots):
             raise InvalidInputError(f"roots must be distinct, got a={self.a_set} b=({self.b1}, {self.b2})")
 
     @property
     def m(self) -> int:
         return len(self.a_set)
-
-    @cached_property
-    def roots(self) -> frozenset[int]:
-        return frozenset((*self.a_set, self.b1, self.b2))
 
 
 @dataclass(frozen=True)
@@ -311,39 +312,31 @@ def validate_collection(
     return masks
 
 
-def contract_masks(
-    g: Graph, x: Collection, forbidden: Iterable[int] = ()
-) -> tuple[dict[int, int], list[int]]:
-    """Delete each member of ``x`` and add a clique on its neighborhood.
-
-    Returns the adjacency row of every surviving vertex, keyed by its id in
-    ``g`` in increasing order, and each member's neighborhood mask in ``g``.
-    Raises :class:`InvalidCollectionError` if ``x`` violates the collection
-    invariant in ``g`` or meets ``forbidden``.
-    """
-    members = validate_collection(g, x, forbidden)
+def contract_masks(g: Graph, family: list[tuple[int, int]]) -> dict[int, int]:
+    """Delete each member of ``family`` and add a clique on its neighborhood;
+    the adjacency row of every surviving vertex, keyed by its id in ``g`` in
+    increasing order.  ``family`` is not checked here: it is validated once,
+    at the boundary (see the module docstring)."""
     kept = (1 << g.vertex_count) - 1
-    for mask, _ in members:
+    for mask, _ in family:
         kept &= ~mask
     rows = {v: row & kept for v, row in enumerate(g.adjacency_masks) if kept >> v & 1}
-    for _, nbhd in members:
+    for _, nbhd in family:
         for u in bits_of(nbhd):
             rows[u] |= nbhd & ~(1 << u)
-    return rows, [nbhd for _, nbhd in members]
+    return rows
 
 
-def augment_masks(
-    rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()
-) -> tuple[dict[int, int], list[int]]:
-    """:func:`contract_masks` for ``x``, which must avoid the roots and
-    ``forbidden``, plus all edges among roots except ``b1 b2``."""
-    rows, neighborhoods = contract_masks(rg.graph, x, rg.roots | frozenset(forbidden))
+def augment_masks(rg: RootedGraph, family: list[tuple[int, int]]) -> dict[int, int]:
+    """:func:`contract_masks` for ``family``, whose members avoid the roots,
+    plus all edges among roots except ``b1 b2``; unchecked, as there."""
+    rows = contract_masks(rg.graph, family)
     roots = mask_of(rg.roots)
     b_pair = 1 << rg.b1 | 1 << rg.b2
     for r in rg.roots:
         joined = roots & ~b_pair if b_pair >> r & 1 else roots
         rows[r] |= joined & ~(1 << r)
-    return rows, neighborhoods
+    return rows
 
 
 def _graph_of_rows(rows: dict[int, int]) -> tuple[Graph, dict[int, int]]:
@@ -356,14 +349,11 @@ def _graph_of_rows(rows: dict[int, int]) -> tuple[Graph, dict[int, int]]:
     return Graph(len(relabel), edges), relabel
 
 
-def contract_collection(
-    g: Graph, x: Collection, forbidden: Iterable[int] = ()
-) -> tuple[Graph, dict[int, int]]:
-    """:func:`contract_masks` as a graph, plus the map from surviving old ids
-    to new dense ids."""
-    return _graph_of_rows(contract_masks(g, x, forbidden)[0])
+def contract_collection(g: Graph, x: Collection) -> tuple[Graph, dict[int, int]]:
+    """:func:`contract_masks` of the validated ``x`` as a graph, plus the old-to-new id map."""
+    return _graph_of_rows(contract_masks(g, validate_collection(g, x)))
 
 
-def augment_rooted(rg: RootedGraph, x: Collection, forbidden: Iterable[int] = ()) -> Graph:
-    """:func:`augment_masks` as a graph on dense ids."""
-    return _graph_of_rows(augment_masks(rg, x, forbidden)[0])[0]
+def augment_rooted(rg: RootedGraph, x: Collection) -> Graph:
+    """:func:`augment_masks` of ``x``, validated to avoid the roots, as a graph."""
+    return _graph_of_rows(augment_masks(rg, validate_collection(rg.graph, x, rg.roots)))[0]

@@ -10,9 +10,13 @@ is enough to replay it through the CLI.
 from __future__ import annotations
 
 import bisect
+import gzip
+import importlib.util
 import itertools
+import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal
 
@@ -136,24 +140,24 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
     rng = random.Random(f"{config.seed}:{trial}")
     n = rng.randint(config.n_min, config.n_max)
     pairs = list(itertools.combinations(range(n), 2))
-    edges = [e for e in pairs if rng.random() < config.p]
-    g = Graph.from_edges(n, edges)
+    edges, missing = [], []
+    for e in pairs:
+        (edges if rng.random() < config.p else missing).append(e)
     if config.model == "kconn":
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        missing = [e for e in pairs if e not in g.edges]
-        degree = [row.bit_count() for row in g.adjacency_masks]
-        short = sum(d < k for d in degree)  # vertices still below degree k
-        while short or not has_connectivity_at_least(g, k, config.budget):
+        degree = Counter(itertools.chain.from_iterable(edges))
+        short = sum(degree[v] < k for v in range(n))  # vertices still below degree k
+        while short or not has_connectivity_at_least(g := Graph.from_edges(n, edges), k, config.budget):
             e = rng.choice(missing)
             del missing[bisect.bisect_left(missing, e)]
             edges.append(e)
             for v in e:
                 degree[v] += 1
                 short -= degree[v] == k
-            if not short:
-                g = Graph.from_edges(n, edges)
+    else:
+        g = Graph.from_edges(n, edges)
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 
@@ -236,17 +240,23 @@ def campaign_removable_path(config: CampaignConfig) -> CampaignReport:
 def small_graphs(max_n: int, min_n: int = 0) -> Iterator[Graph]:
     """All non-isomorphic graphs with ``min_n <= n <= max_n`` vertices.
 
-    Backed by the published atlas of small graphs; supports ``max_n <= 7``.
+    Read entry by entry from the atlas networkx ships, without importing networkx; ``max_n <= 7``.
     """
     if max_n > 7:
         raise InvalidInputError("small-graph enumeration is available up to 7 vertices")
-    from networkx.generators.atlas import graph_atlas_g
-
-    for nxg in graph_atlas_g():
-        n = nxg.number_of_nodes()
-        if min_n <= n <= max_n:
-            order = {v: i for i, v in enumerate(sorted(nxg.nodes()))}
-            yield Graph.from_edges(n, ((order[u], order[v]) for u, v in nxg.edges()))
+    package = importlib.util.find_spec("networkx").submodule_search_locations[0]
+    with gzip.open(os.path.join(package, "generators", "atlas.dat.gz"), "rt") as atlas:
+        n, edges = -1, []  # the entry being read
+        # Entries come by n, on vertices 0..n-1: "GRAPH <index>", "NODES <n>", edges "<u> <v>".
+        for word, arg in map(str.split, itertools.chain(atlas, ["GRAPH end"])):
+            if word == "NODES":
+                n, edges = int(arg), []
+                if n > max_n:
+                    return
+            elif word != "GRAPH":
+                edges.append((int(word), int(arg)))
+            elif n >= max(min_n, 0):
+                yield Graph.from_edges(n, edges)
 
 
 def rooted_instances(g: Graph, m: int) -> Iterator[RootedGraph]:

@@ -7,7 +7,7 @@ boundary vertices in order (one edge for two, a cycle for more) and an apex
 row adjacent to all of them, and test that graph.  The apex pins the ring
 as a face, so the reduction is exact in both directions.  The planar
 certificate runs it on the rows ``contract_masks`` returns, so each check
-contracts once and builds no ``Graph``.
+validates and contracts once and builds no ``Graph``.
 
 Planarity itself is decided on mask rows.  Deleting vertices of degree at
 most 1 and suppressing those of degree 2 loses nothing, and leaves minimum
@@ -24,7 +24,7 @@ vertex v, contract any edge at v (v has degree at least 3); H survives.
 Otherwise H spans all 7 vertices.  K5 has 5 branch vertices and K3,3 has 6,
 so H has a subdivision vertex s, and contracting an H-edge at s leaves a
 subdivision of the same Kuratowski graph.  Only graphs with at least 8
-vertices left go to networkx.
+vertices left go to networkx, which is imported only then (about 19 MB).
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .certificates import iter_collections
 from .errors import InvalidInputError
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
-from .graphs import Collection, Graph, RootedGraph, augment_masks, bits_of, contract_masks, mask_of
+from .graphs import (Collection, Graph, RootedGraph, augment_masks, bits_of, contract_masks, mask_of,
+                     validate_collection)
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,7 @@ def _is_planar_rows(rows: dict[int, int]) -> bool:
         # Non-planar iff some edge contraction is (module docstring).
         return all(_is_planar_rows(_contracted(rows, u, w))
                    for u in rows for w in bits_of(rows[u]) if w > u)
+    import networkx as nx
     # Every vertex left has degree at least 3, so the edges name them all.
     nxg = nx.Graph((v, w) for v, row in rows.items() for w in bits_of(row) if w > v)
     return nx.check_planarity(nxg, counterexample=False)[0]
@@ -113,8 +113,7 @@ def _contracted(rows: dict[int, int], u: int, w: int) -> dict[int, int]:
 
 
 def _is_disc_planar_rows(rows: dict[int, int], boundary: tuple[int, ...]) -> bool:
-    """Disc planarity of the graph with these adjacency rows, ``boundary`` in their ids."""
-    rows = dict(rows)
+    """Disc planarity of these adjacency rows, ``boundary`` in their ids; consumes ``rows``."""
     apex = max(rows, default=-1) + 1
     rows[apex] = mask_of(boundary)
     t = len(boundary)
@@ -130,6 +129,12 @@ def is_disc_planar(d: DiscInstance) -> bool:
     return _is_disc_planar_rows(dict(enumerate(d.graph.adjacency_masks)), d.boundary)
 
 
+def _contracts_disc_planar(rg: RootedGraph, family: list[tuple[int, int]]) -> bool:
+    """Whether contracting the valid mask ``family`` leaves a disc planar graph around a1, b1, a2, b2."""
+    a1, a2 = rg.a_set
+    return _is_disc_planar_rows(contract_masks(rg.graph, family), (a1, rg.b1, a2, rg.b2))
+
+
 def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     """Verify a planar infeasibility certificate for a 2-rooted graph.
 
@@ -139,11 +144,8 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     """
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    rows, neighborhoods = contract_masks(rg.graph, x, rg.roots)
-    if any(nbhd.bit_count() > 3 for nbhd in neighborhoods):
-        return False
-    a1, a2 = rg.a_set
-    return _is_disc_planar_rows(rows, (a1, rg.b1, a2, rg.b2))
+    family = validate_collection(rg.graph, x, rg.roots)
+    return all(nbhd.bit_count() <= 3 for _, nbhd in family) and _contracts_disc_planar(rg, family)
 
 
 def find_seymour_certificate(
@@ -151,17 +153,18 @@ def find_seymour_certificate(
 ) -> Collection | None:
     """Exhaustive search for a collection passing the planar certificate.
 
-    Candidate members are connected with at most 3 neighbors; splitting a
-    disconnected member only shrinks the contracted graph's edge set, so the
-    restriction is lossless here as well.  ``None`` only after exhaustion.
+    Candidate members are connected with at most 3 neighbors, so only disc
+    planarity is tested; splitting a disconnected member only shrinks the
+    contracted graph's edge set, so the restriction is lossless here as well.
+    ``None`` only after exhaustion.
     """
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
     clock = _BudgetClock(budget)
-    for coll in iter_collections(rg.graph, rg.roots, 3, clock):
+    for family in iter_collections(rg.graph, rg.roots, 3, clock):
         clock.tick()
-        if check_seymour_certificate(rg, coll):
-            return coll
+        if _contracts_disc_planar(rg, family):
+            return Collection(frozenset(bits_of(member)) for member, _ in family)
     return None
 
 
@@ -174,5 +177,5 @@ def seymour_edge_bound(rg: RootedGraph, x: Collection) -> bool:
     """
     if not check_seymour_certificate(rg, x):
         raise InvalidInputError("edge bound requires a valid planar certificate")
-    rows, _ = augment_masks(rg, x)
+    rows = augment_masks(rg, validate_collection(rg.graph, x, rg.roots))
     return sum(row.bit_count() for row in rows.values()) <= 2 * (3 * len(rows) - 6)

@@ -24,7 +24,7 @@ from linklab.certificates import (
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of
+from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, validate_collection
 from linklab.planarity import find_seymour_certificate
 from oracles import (
     brute_candidate_members,
@@ -136,16 +136,19 @@ def test_verify_matches_brute_force_arithmetic(rg, data):
 
 def test_verify_matches_brute_force_exhaustively():
     # Every graph with n <= 6, every root placement at m = 0, 1, 2 and every
-    # collection the certificate search can try at cap m + 2: both checks
-    # agree with the from-the-definition count.
+    # collection the certificate search can try at cap m + 2: the searches
+    # rely on each family being valid as yielded, and both checks agree with
+    # the from-the-definition count.
     from linklab.harness import rooted_instances, small_graphs
 
     checked = 0
     for m in (0, 1, 2):
         for g in small_graphs(6, m + 2):
             for rg in rooted_instances(g, m):
-                for x in iter_collections(g, rg.roots, m + 2, _BudgetClock(EXHAUSTIVE)):
-                    members = list(x)
+                for family in iter_collections(g, rg.roots, m + 2, _BudgetClock(EXHAUSTIVE)):
+                    members = [frozenset(bits_of(member)) for member, _ in family]
+                    x = Collection(members)
+                    assert validate_collection(g, x, rg.roots) == list(family)
                     linkage = verify_linkage_collection(rg, x)
                     assert (linkage.lhs_edges_doubled, linkage.rhs_bound_doubled, linkage.holds) == (
                         brute_certificate(rg, members, "linkage")
@@ -301,6 +304,12 @@ class TestSearchCollection:
         with pytest.raises(InvalidInputError):
             search_collection(RootedGraph(Graph.complete(4), (0,), 1, 2), "linkage", {3})
 
+    @pytest.mark.parametrize("u_set", [{1}, {0, 3}, {4}, {3, -1}], ids=["b1", "a1", "past-n", "negative"])
+    def test_critical_kind_rejects_bad_u(self, u_set):
+        # The pinned set is checked once, before any family is tried.
+        with pytest.raises(InvalidInputError):
+            search_collection(RootedGraph(Graph.complete(4), (0,), 1, 2), "critical", u_set)
+
     def test_connected_restriction_is_complete(self):
         # Brute-force over families of arbitrary (possibly disconnected)
         # member sets: whenever any such collection certifies, the
@@ -338,12 +347,12 @@ class TestSearchCollection:
 
         for g in small_graphs(6, 4):
             for rg in rooted_instances(g, 1):
-                clock = _BudgetClock(EXHAUSTIVE)
-                members = [frozenset(bits_of(c)) for c, _ in _candidate_members(g, rg.roots, 3, clock)]
-                index = {member: i for i, member in enumerate(members)}
+                pairs = _candidate_members(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
+                members = [frozenset(bits_of(c)) for c, _ in pairs]
+                index = {pair: i for i, pair in enumerate(pairs)}
                 families = [
-                    tuple(sorted(index[member] for member in coll))
-                    for coll in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
+                    tuple(index[pair] for pair in family)
+                    for family in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
                 ]
 
                 def compatible(i, j):

@@ -299,6 +299,17 @@ class TestSmallGraphs:
         with pytest.raises(Exception):
             list(small_graphs(8))
 
+    @pytest.mark.parametrize("min_n, max_n", [(0, 7), (4, 6), (2, 2), (7, 7), (5, 4)])
+    def test_atlas_entries_match_networkx(self, min_n, max_n):
+        import networkx as nx
+
+        expected = [
+            Graph.from_edges(nxg.number_of_nodes(), nxg.edges())
+            for nxg in nx.graph_atlas_g()
+            if min_n <= nxg.number_of_nodes() <= max_n
+        ]
+        assert list(small_graphs(max_n, min_n)) == expected
+
     def test_rooted_instances_count(self):
         g = Graph.complete(5)
         assert len(list(rooted_instances(g, 1))) == 5 * 6

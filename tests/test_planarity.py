@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from linklab.certificates import iter_collections
 from linklab.errors import InvalidInputError
 from linklab.feasibility import EXHAUSTIVE, _BudgetClock, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph
+from linklab.graphs import Collection, Graph, RootedGraph, bits_of
 from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
     DiscInstance,
@@ -278,9 +278,10 @@ class TestSeymourCertificate:
         pairs = 0
         for g in small_graphs(5, min_n=4):
             for rg in rooted_instances(g, 2):
-                for coll in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE)):
-                    expected = brute_seymour_certificate(rg, list(coll.members))
-                    assert check_seymour_certificate(rg, coll) == expected, (rg, coll)
+                for family in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE)):
+                    members = [frozenset(bits_of(member)) for member, _ in family]
+                    expected = brute_seymour_certificate(rg, members)
+                    assert check_seymour_certificate(rg, Collection(members)) == expected, (rg, members)
                     pairs += 1
         assert pairs == 1992
 
