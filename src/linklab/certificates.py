@@ -25,10 +25,12 @@ and the lowest undecided neighbor of ``C`` either joins ``C`` or joins
 since ``|N(C)| <= cap``, and it ends at ``C``; conversely every recorded set
 is connected, avoids the forbidden set and has ``N(C) = X``.  Distinct paths
 disagree on some vertex, so no set is recorded twice.  Once ``|X| = cap``
-every other neighbor must join ``C``, so one component search ends the
-branch; at most ``cap`` branch vertices join ``X`` on a path, so the
-enumeration is polynomial for a fixed cap.  Each branch node ticks the
-budget once.
+every other neighbor must join ``C``, so ``C`` grows from itself through
+vertices outside ``X``.  Its neighborhood holds ``X`` throughout and
+equals it unless the growth reaches a barred vertex (forbidden, or allowed
+below ``v``), where ``C`` is dropped.  At most ``cap`` branch vertices
+join ``X`` on a path, so the enumeration is polynomial for a fixed cap.
+Each branch node ticks the budget once.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ def _candidate_members(
     Each member ``C`` grows from its lowest vertex ``v`` by branching on
     its boundary (see the module docstring).  A frame holds ``C``, ``N(C)``
     and the committed part ``X`` of ``N(C)``.  At ``|X| = cap`` the member
-    is the component of ``v`` in ``allowed - below(v) - X``, kept iff its
-    neighborhood is exactly ``X``.  Every frame ticks ``clock``."""
+    grows from ``C`` through vertices outside ``X`` and is dropped at the
+    first barred vertex it reaches.  Every frame ticks ``clock``."""
     adj = g.adjacency_masks
     allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
     found = []
@@ -242,8 +244,11 @@ def _candidate_members(
             if not undecided:
                 found.append((member, nbhd))
             elif size == cap:
-                comp = component_mask(adj, ~barred & ~committed, v)
-                if neighborhood_mask(adj, comp) == committed:
+                comp, frontier = member, undecided
+                while frontier and not frontier & barred:
+                    comp |= frontier
+                    frontier = neighborhood_mask(adj, frontier) & ~(comp | committed)
+                if not frontier:
                     found.append((comp, committed))
             else:
                 low = undecided & -undecided

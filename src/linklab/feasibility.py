@@ -120,6 +120,9 @@ def _search_linkage(
     and is pruned when ``b2`` is out of its reach inside ``room`` plus ``v``,
     or when the path already separates the ``a_i`` (deleting vertices never
     merges components); neither prune cuts a subtree holding a witness.
+    At ``b2`` the a-split test alone decides the leaf.  Like the one on the
+    shortest path, these tests ask only whether a component covers ``b2`` or
+    the ``a_i``, so their BFS stops once it does, which changes no answer.
     """
     adj = g.adjacency_masks
     a_mask = mask_of(a_set)
@@ -131,7 +134,7 @@ def _search_linkage(
     if shortest is None or len(a_set) < 2:
         return shortest
     a_seed = a_set[0]
-    if not a_mask & ~component_mask(adj, alive & ~mask_of(shortest), a_seed):
+    if not a_mask & ~component_mask(adj, alive & ~mask_of(shortest), a_seed, a_mask):
         return shortest
 
     path = [b1]
@@ -147,17 +150,14 @@ def _search_linkage(
             continue
         clock.tick()
         new_on = on_path | 1 << v
-        rest = alive & ~new_on
-        if v == b2:
-            if not a_mask & ~component_mask(adj, rest, a_seed):
-                return path + [v]
-            continue
         blocked = near[-1] | adj[path[-1]]
         room = free & ~(new_on | blocked)
-        if not component_mask(adj, room | 1 << v, v) >> b2 & 1:
+        if v != b2 and not component_mask(adj, room | 1 << v, v, 1 << b2) >> b2 & 1:
             continue
-        if a_mask & ~component_mask(adj, rest, a_seed):
+        if a_mask & ~component_mask(adj, alive & ~new_on, a_seed, a_mask):
             continue
+        if v == b2:
+            return path + [v]
         path.append(v)
         on_path = new_on
         near.append(blocked)

@@ -221,14 +221,16 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def component_mask(adj: tuple[int, ...], alive: int, seed: int) -> int:
+def component_mask(adj: tuple[int, ...], alive: int, seed: int, target: int = -1) -> int:
     """The component of ``seed`` within ``alive``, as a bitmask.
 
-    ``seed`` must have its bit set in ``alive``.
+    ``seed`` must have its bit set in ``alive``.  The search may stop once
+    the part found covers the mask ``target`` (``-1`` is never covered), so
+    ``target & ~result`` is zero exactly when the component covers it.
     """
     comp = 1 << seed
     frontier = comp
-    while frontier:
+    while frontier and target & ~comp:
         nxt = 0
         f = frontier
         while f:

@@ -24,7 +24,7 @@ from linklab.certificates import (
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, validate_collection
+from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, mask_of, validate_collection
 from linklab.planarity import find_seymour_certificate
 from oracles import (
     brute_candidate_members,
@@ -285,6 +285,16 @@ class TestSearchCollection:
             got = _candidate_members(g, frozenset(forbidden), cap, _BudgetClock(EXHAUSTIVE))
             expected = separator_candidate_members(g, forbidden, cap)
             assert [frozenset(bits_of(member)) for member, _ in got] == expected
+
+    def test_capped_members_grow_locally_with_the_same_ticks(self):
+        # On trigrid(14, 14, 6) with cap 3 the only member is the clump, whose
+        # neighborhood is the triangle it hangs on; the enumeration takes
+        # 1,340 branch nodes, however the |X| = cap step finds its members.
+        rg = trigrid(14, 14, 6)
+        clock = _BudgetClock(EXHAUSTIVE)
+        found = _candidate_members(rg.graph, rg.roots, rg.m + 1, clock)
+        assert found == [(mask_of(range(196, 202)), mask_of({15, 16, 30}))]
+        assert clock.ticks == 1_340
 
     def test_found_collection_always_verifies(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])

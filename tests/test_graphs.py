@@ -1,5 +1,6 @@
 """Graph core: types, neighborhoods, components, contraction, augmentation."""
 
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from linklab.graphs import (
     Path,
     RootedGraph,
     augment_rooted,
+    bits_of,
+    component_mask,
     components_masks,
     contract_collection,
     is_connected_set,
@@ -96,6 +99,24 @@ class TestComponents:
 
     def test_two_edges(self):
         assert self.split(Graph.from_edges(4, [(0, 1), (2, 3)])) == [mask_of({0, 1}), mask_of({2, 3})]
+
+    def test_early_stop_decides_cover_as_the_full_component_does(self):
+        # Every graph with n <= 6, every alive mask, every seed in it and
+        # every target of one or two vertices: the part found before the
+        # stop lies in the component and covers the target exactly when the
+        # whole component does.
+        from linklab.harness import small_graphs
+
+        for g in small_graphs(6):
+            adj, n = g.adjacency_masks, g.vertex_count
+            targets = [mask_of(t) for size in (1, 2) for t in itertools.combinations(range(n), size)]
+            for alive in range(1, 1 << n):
+                for seed in bits_of(alive):
+                    whole = component_mask(adj, alive, seed)
+                    for target in targets:
+                        part = component_mask(adj, alive, seed, target)
+                        assert part >> seed & 1 and not part & ~whole
+                        assert (not target & ~part) == (not target & ~whole)
 
 
 class TestContraction:
