@@ -26,8 +26,10 @@ neighbour ``w``, then ``s-x-y-t`` with ``x`` a neighbour of ``s`` alone and
 cancels flow, so a poor greedy choice is repaired.  That is exact: the seeds
 are a feasible flow, a flow below the maximum always has an augmenting path
 (Ford and Fulkerson), and each one adds a path, so augmenting until none is
-left or the cap is reached gives ``min(maximum, cap)``.  A flow whose seeds
-reach the cap runs no search.
+left or the cap is reached gives ``min(maximum, cap)``.  The seeds are counted
+before any flow state is built.  They are a feasible flow whatever the order
+they were chosen in, so a count that reaches the cap is the answer, and the
+flow state is built from them only for a flow that needs an augmenting search.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
     ``s`` alone, lowest first, takes the lowest unused neighbour ``y`` of ``t`` alone
     that it is adjacent to.  Seeding stops at ``limit`` paths; BFS augmentation
     finds the rest.  One tick is one seeded path or one network node dequeued.
+    The seeds are counted first, recording only the ``(x, y)`` pairs, and charged
+    in one call: disjoint paths are a feasible flow in any order, so seeds that
+    reach ``limit`` settle the count, and only a search builds the flow state.
 
     The flow state is each vertex's flow successors and predecessors, as masks;
     only ``s`` and ``t`` hold more than one, and any other vertex carries flow
@@ -56,34 +61,33 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
     out-node if ``v`` is free, else the out-node of its flow predecessor.  A node
     lists its arcs in that order, neighbours ascending, and the BFS is first in,
     first out."""
-    succ = [0] * len(adj)
-    pred = [0] * len(adj)
-    flow = 0
-    while common and flow < limit:  # seed the paths s-w-t, lowest w first
-        clock.tick()
-        w = (common & -common).bit_length() - 1
-        common ^= 1 << w
-        succ[s] |= 1 << w
-        succ[w], pred[w] = 1 << t, 1 << s
-        pred[t] |= 1 << w
-        flow += 1
-    # Past here every common neighbour is seeded, or the flow is at the limit,
-    # so x and y range over the neighbours of s alone and of t alone.
+    flow = min(common.bit_count(), limit)  # the paths s-w-t
+    # Below the limit every common neighbour is seeded, so x and y range over the
+    # neighbours of s alone and of t alone.
     xs, ys = adj[s] & ~adj[t], adj[t] & ~adj[s]
-    while xs and ys and flow < limit:  # seed the paths s-x-y-t, lowest x first
+    pairs = []
+    while flow < limit and xs and ys:  # the paths s-x-y-t, lowest x first
         x = (xs & -xs).bit_length() - 1
         xs ^= 1 << x
         y_options = adj[x] & ys
-        if not y_options:
-            continue
-        clock.tick()
-        y = (y_options & -y_options).bit_length() - 1
-        ys ^= 1 << y
+        if y_options:
+            y = (y_options & -y_options).bit_length() - 1
+            ys ^= 1 << y
+            pairs.append((x, y))
+            flow += 1
+    clock.spend(flow)
+    if flow == limit:
+        return limit
+    succ = [0] * len(adj)
+    pred = [0] * len(adj)
+    succ[s] = pred[t] = common
+    for w in bits_of(common):
+        succ[w], pred[w] = 1 << t, 1 << s
+    for x, y in pairs:
         succ[s] |= 1 << x
         succ[x], pred[x] = 1 << y, 1 << s
         succ[y], pred[y] = 1 << t, 1 << x
         pred[t] |= 1 << y
-        flow += 1
     source, sink = 2 * s + 1, 2 * t
     for flow in range(flow, limit):
         # FIFO BFS for one augmenting path; unit capacities, so flow grows by 1.
@@ -144,9 +148,11 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     return _connectivity_up_to(g, g.vertex_count, budget)
 
 
-def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock) -> int:
+def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock,
+                        exact: bool = True) -> int:
     """``min(vertex_connectivity(g), cap)``, with every flow capped at ``cap``; a
-    count below the cap is exact."""
+    count below the cap is exact.  With ``exact`` false a minimum degree below the
+    cap is returned as it is, with no flow: it settles a threshold test."""
     n = g.vertex_count
     if n <= 1:
         return 0
@@ -154,6 +160,8 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock)
     degrees = [row.bit_count() for row in adj]
     v = degrees.index(min(degrees))
     best = min(n - 1, degrees[v], cap)
+    if best < cap and not exact:
+        return best
     clock = _clock_of(budget)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
@@ -169,5 +177,4 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock)
 def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> bool:
     """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be,
     and otherwise by flows capped at ``k``."""
-    degree = min(map(int.bit_count, g.adjacency_masks), default=0)
-    return k <= 0 or (degree >= k and _connectivity_up_to(g, k, budget) >= k)
+    return k <= 0 or _connectivity_up_to(g, k, budget, exact=False) >= k

@@ -67,6 +67,16 @@ class _BudgetClock:
         if not self.ticks & 0xFF and time.monotonic() > self.deadline:
             raise SearchBudgetExceeded("time budget exhausted")
 
+    def spend(self, count: int) -> None:
+        """``count`` calls of :meth:`tick` in one: the same ticks after, a node budget
+        raising on the same call, and the deadline read when a multiple of 256 is crossed."""
+        self.remaining -= count
+        if self.remaining < 0:
+            raise SearchBudgetExceeded("node budget exhausted")
+        before, self.ticks = self.ticks, self.ticks + count
+        if before >> 8 != self.ticks >> 8 and time.monotonic() > self.deadline:
+            raise SearchBudgetExceeded("time budget exhausted")
+
 
 def _clock_of(budget: SearchBudget | _BudgetClock) -> _BudgetClock:
     """A new clock for ``budget``, or ``budget`` itself when it is a running clock."""

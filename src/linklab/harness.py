@@ -9,14 +9,12 @@ is enough to replay it through the CLI.
 
 from __future__ import annotations
 
-import bisect
 import gzip
 import importlib.util
 import itertools
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal
 
@@ -139,25 +137,27 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
     """
     rng = random.Random(f"{config.seed}:{trial}")
     n = rng.randint(config.n_min, config.n_max)
-    pairs = list(itertools.combinations(range(n), 2))
+    draw, p = rng.random, config.p
     edges, missing = [], []
-    for e in pairs:
-        (edges if rng.random() < config.p else missing).append(e)
+    for e in itertools.combinations(range(n), 2):  # canonical edges, ascending
+        (edges if draw() < p else missing).append(e)
     if config.model == "kconn":
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        degree = Counter(itertools.chain.from_iterable(edges))
-        short = sum(degree[v] < k for v in range(n))  # vertices still below degree k
-        while short or not has_connectivity_at_least(g := Graph.from_edges(n, edges), k, config.budget):
-            e = rng.choice(missing)
-            del missing[bisect.bisect_left(missing, e)]
+        degree = [0] * n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        short = sum(d < k for d in degree)  # vertices still below degree k
+        while short or not has_connectivity_at_least(g := Graph(n, frozenset(edges)), k, config.budget):
+            u, v = e = missing.pop(rng.randrange(len(missing)))  # the draw of rng.choice
             edges.append(e)
-            for v in e:
-                degree[v] += 1
-                short -= degree[v] == k
+            degree[u] += 1
+            degree[v] += 1
+            short -= (degree[u] == k) + (degree[v] == k)
     else:
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, frozenset(edges))
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 

@@ -70,7 +70,10 @@ def trigrid(r: int, c: int, k: int) -> RootedGraph:
     collection does not certify it while the clump's C(k, 2) surplus edges
     outweigh the grid's deficit of about 2(r + c) (every shape up to 6 x 6
     at k = 6, and 30 x 30 at k = 16), so certificate searches must
-    enumerate candidate members."""
+    enumerate candidate members.  The triangle needs r >= 3 and c >= 3; a
+    smaller shape raises ``ValueError``."""
+    if r < 3 or c < 3:
+        raise ValueError(f"trigrid needs at least 3 rows and 3 columns, got {r} x {c}")
     edges = []
     for i, j in itertools.product(range(r), range(c)):
         v = i * c + j

@@ -69,6 +69,14 @@ class TestFindLinkagePair:
         # search over induced paths proves infeasibility well inside it.
         assert find_linkage_pair(trigrid(4, 5, 6), SearchBudget(max_nodes_expanded=5_000)) is None
 
+    def test_trigrid_needs_room_for_the_clump_triangle(self):
+        # The clump hangs on {(1,1), (1,2), (2,2)}, so the smallest shapes are 3 x c and r x 3.
+        for shape in ((3, 3), (3, 5), (5, 3)):
+            assert find_linkage_pair(trigrid(*shape, 4)) is None
+        for shape in ((2, 2), (2, 5), (5, 2), (1, 1)):
+            with pytest.raises(ValueError, match="at least 3 rows and 3 columns"):
+                trigrid(*shape, 6)
+
     def test_reachability_prune_stays_inside_the_induced_region(self):
         # trigrid(6, 7, 6) is infeasible.  Testing b2-reachability only where
         # an induced continuation may go cuts its search to 10,204 nodes;
@@ -385,3 +393,43 @@ class TestClosedFormsAtMostOneRoot:
         # Two dequeues find 0-1-2 on the 4-cycle; 3 lies off it.
         rg = RootedGraph(Graph.cycle(4), (), 0, 2)
         assert not is_critically_feasible(rg, {3}, SearchBudget(max_nodes_expanded=2))
+
+
+
+class TestBudgetClock:
+    @staticmethod
+    def _charge(count: int, one_call: bool, remaining: int = 2**62, start: int = 0,
+                deadline: float | None = None) -> tuple[int, int] | str:
+        """Clock state after ``count`` ticks, charged by one ``spend`` or by single
+        ``tick`` calls, or the message the clock raised with."""
+        clock = _BudgetClock(EXHAUSTIVE)
+        clock.remaining, clock.ticks = remaining, start
+        if deadline is not None:
+            clock.deadline = deadline
+        try:
+            if one_call:
+                clock.spend(count)
+            else:
+                for _ in range(count):
+                    clock.tick()
+        except SearchBudgetExceeded as exc:
+            return str(exc)
+        return clock.ticks, clock.remaining
+
+    def test_spend_matches_single_ticks_on_a_node_budget(self):
+        for remaining, count in itertools.product(range(6), range(7)):
+            spent = self._charge(count, True, remaining=remaining)
+            assert spent == self._charge(count, False, remaining=remaining)
+            assert (spent == "node budget exhausted") == (count > remaining)
+
+    def test_spend_reads_the_deadline_when_it_crosses_a_multiple_of_256(self):
+        # With the deadline past, a charge raises exactly when it crosses a
+        # multiple of 256 ticks, where single ticks read the clock.
+        raised = set()
+        for start, count in itertools.product((0, 200, 250, 255, 256, 511), (0, 1, 5, 6, 56, 256, 300)):
+            spent = self._charge(count, True, start=start, deadline=-1.0)
+            assert spent == self._charge(count, False, start=start, deadline=-1.0)
+            crosses = (start + count) >> 8 != start >> 8
+            assert (spent == "time budget exhausted") == crosses
+            raised.add(crosses)
+        assert raised == {True, False}

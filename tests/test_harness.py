@@ -59,6 +59,14 @@ class TestGeneration:
         for t in range(4):
             assert gen_random_rooted(c, t) == filter_every_step(c, t)
 
+    @pytest.mark.parametrize("m, n_min, n_max, p", [(2, 14, 18, 0.3), (4, 18, 22, 0.35)])
+    def test_degree_gate_draws_the_same_instances_at_fuzz_settings(self, m, n_min, n_max, p):
+        # The settings of the removable fuzz campaign's benchmark, where the
+        # generator's draw loop is timed.
+        c = config(seed=5, m=m, n_min=n_min, n_max=n_max, p=p)
+        for t in range(10):
+            assert gen_random_rooted(c, t) == filter_every_step(c, t)
+
     def test_degree_gate_with_no_filter(self):
         c = config(k=0, n_min=8, n_max=12, p=0.3)
         for t in range(4):
