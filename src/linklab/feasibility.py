@@ -124,15 +124,19 @@ def _search_linkage(
     that follows it searches induced paths only, which loses no witness: the
     shortest path inside a witness's own vertex set is induced, and it only
     merges components of ``G - P``, so it is a witness too.  A continuation
-    after the new end ``v`` therefore stays in ``room``: off the ``a_i`` and
-    the path, and off every neighbour of the path before ``v`` (``near``
-    stacks those neighbour masks).  ``v`` draws its children from ``room``,
-    and is pruned when ``b2`` is out of its reach inside ``room`` plus ``v``,
-    or when the path already separates the ``a_i`` (deleting vertices never
-    merges components); neither prune cuts a subtree holding a witness.
-    At ``b2`` the a-split test alone decides the leaf.  Like the one on the
-    shortest path, these tests ask only whether a component covers ``b2`` or
-    the ``a_i``, so their BFS stops once it does, which changes no answer.
+    after a child ``v`` of the frame ending at ``u`` therefore stays in the
+    frame's ``room``: off the ``a_i``, the path and every neighbour of the
+    path up to ``u``.  Every child is a neighbour of ``u``, so all of them
+    share ``room`` and ``reach``, the component of ``b2`` in ``room`` (0
+    when ``b2`` is outside it): ``v`` other than ``b2`` reaches ``b2`` inside
+    ``room`` plus ``v`` exactly when it has a neighbour in ``reach``.  ``v``
+    is pruned when it has none, or when the path already separates the
+    ``a_i`` (deleting vertices never merges components); neither prune cuts
+    a subtree holding a witness.  At ``b2`` the a-split test alone decides
+    the leaf.  ``v`` draws its children from ``room``, and its own frame's
+    room is ``room`` less its neighbours.  Like the one on the shortest
+    path, the a-split test asks only whether a component covers the
+    ``a_i``, so its BFS stops once it does, which changes no answer.
     """
     adj = g.adjacency_masks
     a_mask = mask_of(a_set)
@@ -149,30 +153,34 @@ def _search_linkage(
 
     path = [b1]
     on_path = 1 << b1
-    near = [0]
+    frames = [_frame(adj, free & ~(on_path | adj[b1]), b2)]
     iters = [iter(bits_of(adj[b1] & free))]
     while iters:
         v = next(iters[-1], -1)
         if v < 0:
             iters.pop()
-            near.pop()
+            frames.pop()
             on_path &= ~(1 << path.pop())
             continue
         clock.tick()
-        new_on = on_path | 1 << v
-        blocked = near[-1] | adj[path[-1]]
-        room = free & ~(new_on | blocked)
-        if v != b2 and not component_mask(adj, room | 1 << v, v, 1 << b2) >> b2 & 1:
+        room, reach = frames[-1]
+        if v != b2 and not adj[v] & reach:
             continue
+        new_on = on_path | 1 << v
         if a_mask & ~component_mask(adj, alive & ~new_on, a_seed, a_mask):
             continue
         if v == b2:
             return path + [v]
         path.append(v)
         on_path = new_on
-        near.append(blocked)
+        frames.append(_frame(adj, room & ~adj[v], b2))
         iters.append(iter(bits_of(adj[v] & room)))
     return None
+
+
+def _frame(adj: tuple[int, ...], room: int, b2: int) -> tuple[int, int]:
+    """``room`` and the component of ``b2`` in it, 0 when ``b2`` is not in ``room``."""
+    return room, component_mask(adj, room, b2) if room >> b2 & 1 else 0
 
 
 def _bfs_path(

@@ -135,6 +135,15 @@ def _contracts_disc_planar(rg: RootedGraph, family: list[tuple[int, int]]) -> bo
     return _is_disc_planar_rows(contract_masks(rg.graph, family), (a1, rg.b1, a2, rg.b2))
 
 
+def _seymour_family(rg: RootedGraph, x: Collection) -> tuple[list[tuple[int, int]], bool]:
+    """``x`` validated to avoid the roots of the 2-rooted ``rg``, as a mask
+    family, and whether it passes the planar certificate."""
+    if rg.m != 2:
+        raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
+    family = validate_collection(rg.graph, x, rg.roots)
+    return family, all(nbhd.bit_count() <= 3 for _, nbhd in family) and _contracts_disc_planar(rg, family)
+
+
 def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     """Verify a planar infeasibility certificate for a 2-rooted graph.
 
@@ -142,10 +151,7 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     graph is disc planar with boundary order ``a1, b1, a2, b2``.  A true
     answer implies the rooted graph is infeasible.
     """
-    if rg.m != 2:
-        raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    family = validate_collection(rg.graph, x, rg.roots)
-    return all(nbhd.bit_count() <= 3 for _, nbhd in family) and _contracts_disc_planar(rg, family)
+    return _seymour_family(rg, x)[1]
 
 
 def find_seymour_certificate(
@@ -173,9 +179,11 @@ def seymour_edge_bound(rg: RootedGraph, x: Collection) -> bool:
 
     With all five root pairs drawable outside the disc, the augmented
     contraction stays planar, so its edge count obeys ``e <= 3v - 6``.
-    Requires :func:`check_seymour_certificate` to hold for the input.
+    Requires :func:`check_seymour_certificate` to hold for the input; ``x``
+    is validated once for both.
     """
-    if not check_seymour_certificate(rg, x):
+    family, certified = _seymour_family(rg, x)
+    if not certified:
         raise InvalidInputError("edge bound requires a valid planar certificate")
-    rows = augment_masks(rg, validate_collection(rg.graph, x, rg.roots))
+    rows = augment_masks(rg, family)
     return sum(row.bit_count() for row in rows.values()) <= 2 * (3 * len(rows) - 6)

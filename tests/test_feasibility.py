@@ -100,21 +100,28 @@ class TestFindLinkagePair:
             assert not chords
 
     @pytest.mark.parametrize(
-        "m, instances, feasible",
-        [(2, 234_366, 150_408), (3, 228_940, 120_064), (4, 111_960, 47_799)],
+        "m, instances, feasible, ticks",
+        [
+            (2, 234_366, 150_408, 508_628),
+            (3, 228_940, 120_064, 436_489),
+            (4, 111_960, 47_799, 171_539),
+        ],
         ids=["m2", "m3", "m4"],
     )
-    def test_witnesses_are_induced_exhaustively(self, m, instances, feasible):
+    def test_witnesses_are_induced_exhaustively(self, m, instances, feasible, ticks):
         # Every witness on at most 7 vertices validates and has no chord, and
         # the feasible counts are those the DFS gave without the shortest-path
         # start.  The path is the shortest-path start when that is a witness,
         # else the oracle's first chordless witness: the DFS walks induced
-        # paths in lexicographic order and its prunes cut no witness.
+        # paths in lexicographic order and its prunes cut no witness.  One
+        # clock sums the ticks of every search, so the pin holds the effort
+        # of the prunes as well as their answers.
         counts = [0, 0]
+        clock = _BudgetClock(EXHAUSTIVE)
         for g in small_graphs(7, min_n=m + 2):
             for rg in rooted_instances(g, m):
                 counts[0] += 1
-                pair = find_linkage_pair(rg)
+                pair = find_linkage_pair(rg, clock)
                 path = None if pair is None else pair.b_path.vertices
                 if pair is not None:
                     counts[1] += 1
@@ -127,6 +134,7 @@ class TestFindLinkagePair:
                 else:
                     assert path == (None if start is None else tuple(start))
         assert counts == [instances, feasible]
+        assert clock.ticks == ticks
 
     def test_witnesses_follow_the_child_order_on_larger_graphs(self):
         # Seeded G(n, p) instances at m = 2 with 9 to 13 vertices, kept when the
@@ -137,6 +145,7 @@ class TestFindLinkagePair:
         # constrains that order; here 22 of the 380 kept instances are feasible.
         rng = random.Random(20261019)
         kept = feasible = 0
+        clock = _BudgetClock(EXHAUSTIVE)
         for _ in range(1500):
             n, p = rng.randint(9, 13), rng.uniform(0.18, 0.32)
             g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
@@ -146,10 +155,11 @@ class TestFindLinkagePair:
             if start is None or _path_is_witness(g, rg.a_set, tuple(start)):
                 continue
             kept += 1
-            pair = find_linkage_pair(rg)
+            pair = find_linkage_pair(rg, clock)
             feasible += pair is not None
             assert (None if pair is None else pair.b_path.vertices) == first_induced_witness(rg)
         assert (kept, feasible) == (380, 22)
+        assert clock.ticks == 2_270
 
     def test_budget_must_be_positive(self):
         with pytest.raises(InvalidInputError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linklab.certificates import iter_collections
-from linklab.errors import InvalidInputError
+from linklab.errors import InvalidCollectionError, InvalidInputError
 from linklab.feasibility import EXHAUSTIVE, _BudgetClock, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, bits_of
 from linklab.harness import rooted_instances, small_graphs
@@ -254,6 +254,14 @@ class TestSeymourCertificate:
         rg = RootedGraph(Graph.complete(6), (0, 2), 1, 3)
         with pytest.raises(InvalidInputError):
             seymour_edge_bound(rg, Collection())
+
+    def test_edge_bound_rejects_an_invalid_collection(self):
+        # A member on a root, and two members that touch, fail validation
+        # before any certificate test.
+        rg = RootedGraph(Graph.cycle(6), (0, 2), 1, 3)
+        for x in (Collection([{0}]), Collection([{4}, {5}])):
+            with pytest.raises(InvalidCollectionError):
+                seymour_edge_bound(rg, x)
 
     def test_degenerate_roots_only(self):
         rg = RootedGraph(Graph(4), (0, 2), 1, 3)
