@@ -30,28 +30,71 @@ left or the cap is reached gives ``min(maximum, cap)``.  The seeds are counted
 before any flow state is built.  They are a feasible flow whatever the order
 they were chosen in, so a count that reaches the cap is the answer, and the
 flow state is built from them only for a flow that needs an augmenting search.
+
+A budget tick is one seeded path or one network node an augmenting search
+dequeues.  A pair's seeds are charged in one ``spend``, and so are the nodes
+of one search, when it ends.  Before it starts, the search asks the clock how
+many ticks it has room for before one would raise on the node budget or read
+the deadline (at most 255).  The node that would take that tick charges the
+nodes before it, ticks on its own and asks again.  So a node budget raises on
+the same node as with one tick per node, leaving the clock in the same state,
+and the deadline is still read at every multiple of 256 ticks.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from typing import Iterable
 
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, _clock_of
 from .graphs import Graph, bits_of
 
 
-def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limit: int,
-                         clock: _BudgetClock) -> int:
-    """Maximum number of internally disjoint s-t paths, capped at ``limit``, for
-    non-adjacent ``s`` and ``t`` of the graph with adjacency masks ``adj``.  The flow
-    starts from the paths ``s-w-t`` through the common neighbours in ``common`` (a
-    mask), lowest ``w`` first, then from paths ``s-x-y-t``: each neighbour ``x`` of
-    ``s`` alone, lowest first, takes the lowest unused neighbour ``y`` of ``t`` alone
-    that it is adjacent to.  Seeding stops at ``limit`` paths; BFS augmentation
-    finds the rest.  One tick is one seeded path or one network node dequeued.
-    The seeds are counted first, recording only the ``(x, y)`` pairs, and charged
-    in one call: disjoint paths are a feasible flow in any order, so seeds that
-    reach ``limit`` settle the count, and only a search builds the flow state.
+def _fewest_disjoint_paths(adj: tuple[int, ...], pairs: Iterable[tuple[int, int]], cap: int,
+                           clock: _BudgetClock) -> int:
+    """``min(cap, c)`` for ``c`` the fewest internally disjoint ``s``-``t`` paths over
+    the non-adjacent ``pairs`` of the graph with adjacency masks ``adj``; each count
+    below the running minimum is exact.  Each pair's flow is capped at that minimum
+    and seeded first, charged in one call: the paths ``s-w-t`` through the common
+    neighbours, then paths ``s-x-y-t``, where each neighbour ``x`` of ``s`` alone,
+    lowest first, takes the lowest unused neighbour ``y`` of ``t`` alone that it is
+    adjacent to.  One tick is one seeded path or one network node dequeued by an
+    augmenting search.  Disjoint paths are a feasible flow in any order, so seeds
+    that reach the cap settle the pair, and only a pair they leave short records
+    its ``(x, y)`` pairs and goes on to :func:`_augment`."""
+    for s, t in pairs:
+        if not cap:
+            break
+        common = adj[s] & adj[t]
+        flow = common.bit_count()
+        if flow >= cap:  # the paths s-w-t
+            clock.spend(cap)
+            continue
+        # Every common neighbour is seeded, so x and y range over the neighbours
+        # of s alone and of t alone.
+        xs, ys = adj[s] & ~adj[t], adj[t] & ~adj[s]
+        seeded = []
+        while flow < cap and xs and ys:  # the paths s-x-y-t, lowest x first
+            x = (xs & -xs).bit_length() - 1
+            xs ^= 1 << x
+            y_options = adj[x] & ys
+            if y_options:
+                y = (y_options & -y_options).bit_length() - 1
+                ys ^= 1 << y
+                seeded.append((x, y))
+                flow += 1
+        clock.spend(flow)
+        if flow < cap:
+            cap = _augment(adj, s, t, common, seeded, flow, cap, clock)
+    return cap
+
+
+def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tuple[int, int]],
+             flow: int, limit: int, clock: _BudgetClock) -> int:
+    """The maximum number of internally disjoint ``s``-``t`` paths, capped at
+    ``limit``, found by BFS augmentation from the ``flow`` seeded paths: ``s-w-t``
+    for each ``w`` in the mask ``common``, and ``s-x-y-t`` for each pair in
+    ``seeded``.
 
     The flow state is each vertex's flow successors and predecessors, as masks;
     only ``s`` and ``t`` hold more than one, and any other vertex carries flow
@@ -60,30 +103,15 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
     neighbours other than its flow successor; the in-node of ``v`` reaches its own
     out-node if ``v`` is free, else the out-node of its flow predecessor.  A node
     lists its arcs in that order, neighbours ascending, and the BFS is first in,
-    first out."""
-    flow = min(common.bit_count(), limit)  # the paths s-w-t
-    # Below the limit every common neighbour is seeded, so x and y range over the
-    # neighbours of s alone and of t alone.
-    xs, ys = adj[s] & ~adj[t], adj[t] & ~adj[s]
-    pairs = []
-    while flow < limit and xs and ys:  # the paths s-x-y-t, lowest x first
-        x = (xs & -xs).bit_length() - 1
-        xs ^= 1 << x
-        y_options = adj[x] & ys
-        if y_options:
-            y = (y_options & -y_options).bit_length() - 1
-            ys ^= 1 << y
-            pairs.append((x, y))
-            flow += 1
-    clock.spend(flow)
-    if flow == limit:
-        return limit
-    succ = [0] * len(adj)
-    pred = [0] * len(adj)
+    first out.  Each dequeued node is one tick of ``clock``, charged as the module
+    docstring says."""
+    n = len(adj)
+    succ = [0] * n
+    pred = [0] * n
     succ[s] = pred[t] = common
     for w in bits_of(common):
         succ[w], pred[w] = 1 << t, 1 << s
-    for x, y in pairs:
+    for x, y in seeded:
         succ[s] |= 1 << x
         succ[x], pred[x] = 1 << y, 1 << s
         succ[y], pred[y] = 1 << t, 1 << x
@@ -91,11 +119,17 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
     source, sink = 2 * s + 1, 2 * t
     for flow in range(flow, limit):
         # FIFO BFS for one augmenting path; unit capacities, so flow grows by 1.
-        parent = {source: -1}
+        parent = [-1] * (2 * n)  # by network node; -1 for one not reached yet
+        parent[source] = source
         seen_in = 0
         queue = [source]
+        room = free = clock.room()  # nodes the clock takes before it must look
         for node in queue:
-            clock.tick()
+            free -= 1
+            if free < 0:  # this node's tick raises or reads the deadline
+                clock.spend(room)
+                clock.tick()
+                room = free = clock.room()
             v = node >> 1
             if node & 1:
                 if pred[v] and not seen_in >> v & 1:
@@ -115,10 +149,11 @@ def _disjoint_path_count(adj: tuple[int, ...], s: int, t: int, common: int, limi
                     queue.append(w_in)
             else:  # the out-node of v's flow predecessor, or of v itself when v is free
                 out = 2 * pred[v].bit_length() - 1 if pred[v] else node + 1
-                if out not in parent:
+                if parent[out] < 0:
                     parent[out] = node
                     queue.append(out)
-        else:
+        clock.spend(room - free)
+        if parent[sink] < 0:  # the search ended without reaching t
             return flow
         node = sink
         while node != source:
@@ -167,11 +202,7 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock,
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
     neighbour_pairs = ((x, y) for x in bits_of(adj[v])
                        for y in bits_of(adj[v] & ~adj[x] >> (x + 1) << (x + 1)))
-    for s, t in chain(non_neighbours, neighbour_pairs):
-        if not best:
-            break
-        best = _disjoint_path_count(adj, s, t, adj[s] & adj[t], best, clock)
-    return best
+    return _fewest_disjoint_paths(adj, chain(non_neighbours, neighbour_pairs), best, clock)
 
 
 def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> bool:

@@ -77,6 +77,11 @@ class _BudgetClock:
         if before >> 8 != self.ticks >> 8 and time.monotonic() > self.deadline:
             raise SearchBudgetExceeded("time budget exhausted")
 
+    def room(self) -> int:
+        """How many ticks may run before the one that would raise on the node budget
+        or read the deadline: :meth:`spend` of at most this many does neither."""
+        return min(self.remaining, 255 - (self.ticks & 0xFF))
+
 
 def _clock_of(budget: SearchBudget | _BudgetClock) -> _BudgetClock:
     """A new clock for ``budget``, or ``budget`` itself when it is a running clock."""
@@ -312,7 +317,7 @@ def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[i
     by decreasing size and lowest vertex."""
     return sorted(
         components_masks(adj, alive),
-        key=lambda c: (not c & anchor, -bin(c).count("1"), (c & -c).bit_length()),
+        key=lambda c: (not c & anchor, -c.bit_count(), (c & -c).bit_length()),
     )
 
 
@@ -348,7 +353,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
         clock.tick()
         alive = full & ~mask_of(b_path.vertices)
         comps = _ordered_components(adj, alive, anchor)
-        vec = tuple(bin(c).count("1") for c in comps)
+        vec = tuple(c.bit_count() for c in comps)
         if history and not vec > history[-1]:
             return RemovableReport(None, "no-lexicographic-progress", iterations, tuple(history + [vec]))
         history.append(vec)

@@ -55,6 +55,15 @@ class Graph:
         return cls(vertex_count, frozenset(canon))
 
     @classmethod
+    def with_rows(cls, vertex_count: int, edges: frozenset[tuple[int, int]], rows: tuple[int, ...]) -> "Graph":
+        """The graph on these canonical edges, checked as always, with ``rows`` as its
+        :attr:`adjacency_masks` in place of rows rebuilt from the edges.  The caller
+        vouches that ``rows`` are the rows these edges give."""
+        g = cls(vertex_count, edges)
+        g.__dict__["adjacency_masks"] = rows  # where cached_property keeps its value
+        return g
+
+    @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
@@ -332,7 +341,12 @@ def contract_masks(g: Graph, family: list[tuple[int, int]]) -> dict[int, int]:
 def augment_masks(rg: RootedGraph, family: list[tuple[int, int]]) -> dict[int, int]:
     """:func:`contract_masks` for ``family``, whose members avoid the roots,
     plus all edges among roots except ``b1 b2``; unchecked, as there."""
-    rows = contract_masks(rg.graph, family)
+    return join_roots(rg, contract_masks(rg.graph, family))
+
+
+def join_roots(rg: RootedGraph, rows: dict[int, int]) -> dict[int, int]:
+    """OR all edges among the roots of ``rg`` except ``b1 b2`` into ``rows``, rows
+    keyed by vertex id that keep every root, and return them."""
     roots = mask_of(rg.roots)
     b_pair = 1 << rg.b1 | 1 << rg.b2
     for r in rg.roots:

@@ -145,17 +145,18 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        degree = [0] * n
+        rows = [0] * n  # the adjacency masks, kept up to date and handed to each graph checked
         for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        short = sum(d < k for d in degree)  # vertices still below degree k
-        while short or not has_connectivity_at_least(g := Graph(n, frozenset(edges)), k, config.budget):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        short = sum(row.bit_count() < k for row in rows)  # vertices still below degree k
+        while short or not has_connectivity_at_least(
+                g := Graph.with_rows(n, frozenset(edges), tuple(rows)), k, config.budget):
             u, v = e = missing.pop(rng.randrange(len(missing)))  # the draw of rng.choice
             edges.append(e)
-            degree[u] += 1
-            degree[v] += 1
-            short -= (degree[u] == k) + (degree[v] == k)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            short -= (rows[u].bit_count() == k) + (rows[v].bit_count() == k)
     else:
         g = Graph(n, frozenset(edges))
     picks = rng.sample(range(n), config.m + 2)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .certificates import iter_collections
 from .errors import InvalidInputError
 from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
-from .graphs import (Collection, Graph, RootedGraph, augment_masks, bits_of, contract_masks, mask_of,
+from .graphs import (Collection, Graph, RootedGraph, bits_of, contract_masks, join_roots, mask_of,
                      validate_collection)
 
 
@@ -129,19 +129,22 @@ def is_disc_planar(d: DiscInstance) -> bool:
     return _is_disc_planar_rows(dict(enumerate(d.graph.adjacency_masks)), d.boundary)
 
 
-def _contracts_disc_planar(rg: RootedGraph, family: list[tuple[int, int]]) -> bool:
-    """Whether contracting the valid mask ``family`` leaves a disc planar graph around a1, b1, a2, b2."""
+def _disc_planar_around_roots(rg: RootedGraph, rows: dict[int, int]) -> bool:
+    """Whether the contraction ``rows`` of the 2-rooted ``rg`` are disc planar around
+    a1, b1, a2, b2; consumes ``rows``."""
     a1, a2 = rg.a_set
-    return _is_disc_planar_rows(contract_masks(rg.graph, family), (a1, rg.b1, a2, rg.b2))
+    return _is_disc_planar_rows(rows, (a1, rg.b1, a2, rg.b2))
 
 
-def _seymour_family(rg: RootedGraph, x: Collection) -> tuple[list[tuple[int, int]], bool]:
-    """``x`` validated to avoid the roots of the 2-rooted ``rg``, as a mask
-    family, and whether it passes the planar certificate."""
+def _seymour_rows(rg: RootedGraph, x: Collection) -> tuple[dict[int, int], bool]:
+    """The rows of the contraction of ``x``, validated to avoid the roots of the
+    2-rooted ``rg``, and whether ``x`` passes the planar certificate.  The disc test
+    runs on a copy, so the rows come back as contracted."""
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
     family = validate_collection(rg.graph, x, rg.roots)
-    return family, all(nbhd.bit_count() <= 3 for _, nbhd in family) and _contracts_disc_planar(rg, family)
+    rows = contract_masks(rg.graph, family)
+    return rows, all(nbhd.bit_count() <= 3 for _, nbhd in family) and _disc_planar_around_roots(rg, dict(rows))
 
 
 def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
@@ -151,7 +154,7 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
     graph is disc planar with boundary order ``a1, b1, a2, b2``.  A true
     answer implies the rooted graph is infeasible.
     """
-    return _seymour_family(rg, x)[1]
+    return _seymour_rows(rg, x)[1]
 
 
 def find_seymour_certificate(
@@ -169,7 +172,7 @@ def find_seymour_certificate(
     clock = _BudgetClock(budget)
     for family in iter_collections(rg.graph, rg.roots, 3, clock):
         clock.tick()
-        if _contracts_disc_planar(rg, family):
+        if _disc_planar_around_roots(rg, contract_masks(rg.graph, family)):
             return Collection(frozenset(bits_of(member)) for member, _ in family)
     return None
 
@@ -180,10 +183,10 @@ def seymour_edge_bound(rg: RootedGraph, x: Collection) -> bool:
     With all five root pairs drawable outside the disc, the augmented
     contraction stays planar, so its edge count obeys ``e <= 3v - 6``.
     Requires :func:`check_seymour_certificate` to hold for the input; ``x``
-    is validated once for both.
+    is validated and contracted once for both.
     """
-    family, certified = _seymour_family(rg, x)
+    rows, certified = _seymour_rows(rg, x)
     if not certified:
         raise InvalidInputError("edge bound requires a valid planar certificate")
-    rows = augment_masks(rg, family)
+    join_roots(rg, rows)
     return sum(row.bit_count() for row in rows.values()) <= 2 * (3 * len(rows) - 6)

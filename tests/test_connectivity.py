@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from networkx.algorithms.connectivity import local_node_connectivity
 
 from linklab.connectivity import (
-    _disjoint_path_count,
+    _fewest_disjoint_paths,
     has_connectivity_at_least,
     vertex_connectivity,
 )
@@ -95,8 +95,7 @@ def test_matches_brute_force_exhaustively():
 
 
 def _pair_count(g: Graph, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
-    adj = g.adjacency_masks
-    return _disjoint_path_count(adj, s, t, adj[s] & adj[t], limit, clock)
+    return _fewest_disjoint_paths(g.adjacency_masks, [(s, t)], limit, clock)
 
 
 def _non_adjacent_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -168,6 +167,45 @@ def test_augmenting_path_cancels_flow():
     clock = _BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(g, clock) == 2
     assert clock.ticks == 24
+
+
+def test_node_budget_raises_where_single_ticks_would():
+    # The graph above: 24 ticks, some of them augmenting-search nodes, so
+    # every budget below 24 must raise.  A search node that overruns leaves
+    # the clock as a single tick does (remaining -1, the ticks before it
+    # counted); a seeded charge that overruns leaves its ticks uncounted
+    # (budgets 1, 22 and 23).
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+    states = []
+    for budget in range(1, 31):
+        clock = _BudgetClock(SearchBudget(max_nodes_expanded=budget))
+        try:
+            answer = vertex_connectivity(g, clock)
+        except SearchBudgetExceeded:
+            answer = None
+        states.append((budget, answer, clock.ticks, clock.remaining))
+    assert states == [(1, None, 0, -1), *((b, None, b, -1) for b in range(2, 22)),
+                      (22, None, 22, -2), (23, None, 22, -1), *((b, 2, 24, b - 24) for b in range(24, 31))]
+
+
+def test_circulant_budget_boundary():
+    # C_100^5's 119,574 ticks include searches of more than 256 nodes.
+    n = 100
+    g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
+    with pytest.raises(SearchBudgetExceeded, match="node budget"):
+        vertex_connectivity(g, SearchBudget(max_nodes_expanded=119_573))
+    assert vertex_connectivity(g, SearchBudget(max_nodes_expanded=119_574)) == 10
+
+
+@pytest.mark.parametrize("start, ticks", [(0, 256), (100, 256), (255, 256), (300, 512)])
+def test_searches_read_the_deadline_every_256_ticks(start, ticks):
+    # On P_400 the flows from v_0 are settled by augmenting searches alone,
+    # so with the deadline past, the first multiple of 256 ticks raises.
+    clock = _BudgetClock(EXHAUSTIVE)
+    clock.ticks, clock.deadline = start, -1.0
+    with pytest.raises(SearchBudgetExceeded, match="time budget"):
+        vertex_connectivity(Graph.path_graph(400), clock)
+    assert clock.ticks == ticks
 
 
 def test_path_needs_flows_from_one_source_only():

@@ -11,7 +11,7 @@ import pytest
 import linklab.harness
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget, find_linkage_pair
+from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair
 from linklab.graphio import parse_graph6
 from linklab.graphs import Graph, RootedGraph
 from linklab.harness import (
@@ -67,6 +67,37 @@ class TestGeneration:
         for t in range(10):
             assert gen_random_rooted(c, t) == filter_every_step(c, t)
 
+    @pytest.mark.parametrize("m, n_min, n_max, p, ticks", [(2, 14, 18, 0.3, 1_414), (4, 18, 22, 0.35, 2_399)])
+    def test_filter_ticks_at_fuzz_settings(self, monkeypatch, m, n_min, n_max, p, ticks):
+        # The effort of the connectivity filter over the draws above, pinned:
+        # seeded paths plus the network nodes of 620 augmenting-search
+        # dequeues over both settings, one tick each, on one shared clock.
+        clock = _BudgetClock(EXHAUSTIVE)
+        checks = []
+
+        def on_shared_clock(g, k, budget):
+            checks.append(k)
+            return has_connectivity_at_least(g, k, clock)
+
+        monkeypatch.setattr(linklab.harness, "has_connectivity_at_least", on_shared_clock)
+        c = config(seed=5, m=m, n_min=n_min, n_max=n_max, p=p)
+        for t in range(10):
+            gen_random_rooted(c, t)
+        assert checks == [2 * m + 2] * 10
+        assert clock.ticks == ticks
+
+    def test_generated_rows_are_the_adjacency_masks(self):
+        # Every draw of the degree-gate and fuzz-setting tests above: the rows
+        # the generator keeps and hands to its graph are the ones its edges give.
+        gate = [(config(seed=10 * m + int(10 * p), m=m, n_min=2 * m + 3, n_max=22, p=p), 4)
+                for m in (1, 2, 3, 4) for p in (0.0, 0.3, 0.5, 1.0)]
+        fuzz = [(config(seed=5, m=m, n_min=n_min, n_max=n_max, p=p), 10)
+                for m, n_min, n_max, p in ((2, 14, 18, 0.3), (4, 18, 22, 0.35))]
+        for c, trials in [*gate, *fuzz, (config(k=0, n_min=8, n_max=12, p=0.3), 4)]:
+            for t in range(trials):
+                g = gen_random_rooted(c, t).graph
+                assert g.adjacency_masks == Graph(g.vertex_count, g.edges).adjacency_masks
+
     def test_degree_gate_with_no_filter(self):
         c = config(k=0, n_min=8, n_max=12, p=0.3)
         for t in range(4):
@@ -104,7 +135,7 @@ class TestGeneration:
 
     def test_filter_spends_the_campaign_budget(self):
         # On 30 vertices the final connectivity check, its flows capped at
-        # k = 4, spends 270 budget ticks, so a campaign budget of 100 must stop it.
+        # k = 4, spends 192 budget ticks, so a campaign budget of 100 must stop it.
         c = config(n_min=30, n_max=30, budget=SearchBudget(max_nodes_expanded=100))
         with pytest.raises(SearchBudgetExceeded):
             gen_random_rooted(c, 0)

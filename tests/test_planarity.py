@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linklab.planarity
 from linklab.certificates import iter_collections
 from linklab.errors import InvalidCollectionError, InvalidInputError
 from linklab.feasibility import EXHAUSTIVE, _BudgetClock, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, bits_of
+from linklab.graphs import Collection, Graph, RootedGraph, bits_of, contract_masks
 from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
     DiscInstance,
@@ -262,6 +263,19 @@ class TestSeymourCertificate:
         for x in (Collection([{0}]), Collection([{4}, {5}])):
             with pytest.raises(InvalidCollectionError):
                 seymour_edge_bound(rg, x)
+
+    def test_edge_bound_contracts_once(self, monkeypatch):
+        # The disc test and the edge count share one contraction.
+        calls = []
+
+        def counted(g, family):
+            calls.append(len(family))
+            return contract_masks(g, family)
+
+        monkeypatch.setattr(linklab.planarity, "contract_masks", counted)
+        rg = RootedGraph(Graph.cycle(6), (0, 3), 1, 4)
+        assert seymour_edge_bound(rg, Collection([{2}, {5}]))
+        assert calls == [2]
 
     def test_degenerate_roots_only(self):
         rg = RootedGraph(Graph(4), (0, 2), 1, 3)
