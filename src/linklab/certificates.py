@@ -30,7 +30,8 @@ vertices outside ``X``.  Its neighborhood holds ``X`` throughout and
 equals it unless the growth reaches a barred vertex (forbidden, or allowed
 below ``v``), where ``C`` is dropped.  At most ``cap`` branch vertices
 join ``X`` on a path, so the enumeration is polynomial for a fixed cap.
-Each branch node ticks the budget once.
+Each branch node is one budget tick, charged in chunks as in the
+connectivity flows (``_BudgetClock.charge``).
 """
 
 from __future__ import annotations
@@ -227,16 +228,20 @@ def _candidate_members(
     its boundary (see the module docstring).  A frame holds ``C``, ``N(C)``
     and the committed part ``X`` of ``N(C)``.  At ``|X| = cap`` the member
     grows from ``C`` through vertices outside ``X`` and is dropped at the
-    first barred vertex it reaches.  Every frame ticks ``clock``."""
+    first barred vertex it reaches.  Every frame is one tick of ``clock``,
+    charged in chunks through :meth:`_BudgetClock.charge`."""
     adj = g.adjacency_masks
     allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
     found = []
+    chunk = left = clock.room()  # nodes the clock takes before it must look
     for v in bits_of(allowed):
         barred = ~allowed | ((1 << v) - 1)  # never in a member whose lowest vertex is v
         stack = [(1 << v, adj[v], adj[v] & barred)]
         while stack:
             member, nbhd, committed = stack.pop()
-            clock.tick()
+            left -= 1
+            if left < 0:  # this node's tick raises or reads the deadline
+                chunk = left = clock.charge(chunk)
             size = committed.bit_count()
             if size > cap:
                 continue
@@ -256,6 +261,7 @@ def _candidate_members(
                 grown_nbhd = (nbhd | adj[low.bit_length() - 1]) & ~grown
                 stack.append((member, nbhd, committed | low))
                 stack.append((grown, grown_nbhd, committed | grown_nbhd & barred))
+    clock.spend(chunk - left)
     return sorted(found, key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
 
 

@@ -32,11 +32,9 @@ they were chosen in, so a count that reaches the cap is the answer, and the
 flow state is built from them only for a flow that needs an augmenting search.
 
 A budget tick is one seeded path or one network node an augmenting search
-dequeues.  A pair's seeds are charged in one ``spend``, and so are the nodes
-of one search, when it ends.  Before it starts, the search asks the clock how
-many ticks it has room for before one would raise on the node budget or read
-the deadline (at most 255).  The node that would take that tick charges the
-nodes before it, ticks on its own and asks again.  So a node budget raises on
+dequeues.  A pair's seeds are charged in one ``spend``.  An augmenting search
+charges its nodes in chunks, by the protocol of ``_BudgetClock.charge``, which
+the linkage DFS and the candidate enumeration share: a node budget raises on
 the same node as with one tick per node, leaving the clock in the same state,
 and the deadline is still read at every multiple of 256 ticks.
 """
@@ -123,13 +121,11 @@ def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tup
         parent[source] = source
         seen_in = 0
         queue = [source]
-        room = free = clock.room()  # nodes the clock takes before it must look
+        chunk = left = clock.room()  # nodes the clock takes before it must look
         for node in queue:
-            free -= 1
-            if free < 0:  # this node's tick raises or reads the deadline
-                clock.spend(room)
-                clock.tick()
-                room = free = clock.room()
+            left -= 1
+            if left < 0:  # this node's tick raises or reads the deadline
+                chunk = left = clock.charge(chunk)
             v = node >> 1
             if node & 1:
                 if pred[v] and not seen_in >> v & 1:
@@ -152,7 +148,7 @@ def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tup
                 if parent[out] < 0:
                     parent[out] = node
                     queue.append(out)
-        clock.spend(room - free)
+        clock.spend(chunk - left)
         if parent[sink] < 0:  # the search ended without reaching t
             return flow
         node = sink

@@ -68,8 +68,12 @@ class _BudgetClock:
             raise SearchBudgetExceeded("time budget exhausted")
 
     def spend(self, count: int) -> None:
-        """``count`` calls of :meth:`tick` in one: the same ticks after, a node budget
-        raising on the same call, and the deadline read when a multiple of 256 is crossed."""
+        """``count`` calls of :meth:`tick` in one when the node budget covers them:
+        the same ticks after, and the deadline read when a multiple of 256 is crossed.
+        A ``count`` beyond the node budget raises with ``ticks`` unchanged and
+        ``remaining`` lowered by ``count``, where single ticks would count the ticks
+        before the raising one and leave ``remaining`` at -1.  Chunked callers never
+        overrun: they spend at most :meth:`room`."""
         self.remaining -= count
         if self.remaining < 0:
             raise SearchBudgetExceeded("node budget exhausted")
@@ -81,6 +85,17 @@ class _BudgetClock:
         """How many ticks may run before the one that would raise on the node budget
         or read the deadline: :meth:`spend` of at most this many does neither."""
         return min(self.remaining, 255 - (self.ticks & 0xFF))
+
+    def charge(self, count: int) -> int:
+        """:meth:`spend` the ``count`` nodes before this one, :meth:`tick` this one
+        on its own, and return the next :meth:`room`.  A kernel counts its nodes
+        down from :meth:`room`, calls this when the count runs out and spends what
+        is left on every exit; a node budget then raises on the same node as with
+        one tick per node, leaving the clock in the same state, and the deadline
+        is read at every multiple of 256 ticks."""
+        self.spend(count)
+        self.tick()
+        return self.room()
 
 
 def _clock_of(budget: SearchBudget | _BudgetClock) -> _BudgetClock:
@@ -142,6 +157,11 @@ def _search_linkage(
     room is ``room`` less its neighbours.  Like the one on the shortest
     path, the a-split test asks only whether a component covers the
     ``a_i``, so its BFS stops once it does, which changes no answer.
+
+    A frame keeps its untried children as a mask and tries the lowest
+    first, the increasing order that fixes which witness is found.  Every
+    child tried is one budget tick, charged in chunks through
+    :meth:`_BudgetClock.charge`.
     """
     adj = g.adjacency_masks
     a_mask = mask_of(a_set)
@@ -158,34 +178,38 @@ def _search_linkage(
 
     path = [b1]
     on_path = 1 << b1
-    frames = [_frame(adj, free & ~(on_path | adj[b1]), b2)]
-    iters = [iter(bits_of(adj[b1] & free))]
-    while iters:
-        v = next(iters[-1], -1)
-        if v < 0:
-            iters.pop()
-            frames.pop()
-            on_path &= ~(1 << path.pop())
+    children = adj[b1] & free
+    room = free & ~(on_path | adj[b1])
+    reach = component_mask(adj, room, b2) if room >> b2 & 1 else 0
+    frames = []  # (children, room, reach) of every frame below the top one
+    chunk = left = clock.room()  # nodes the clock takes before it must look
+    while children or frames:
+        if not children:
+            on_path ^= 1 << path.pop()
+            children, room, reach = frames.pop()
             continue
-        clock.tick()
-        room, reach = frames[-1]
+        low = children & -children
+        children ^= low
+        left -= 1
+        if left < 0:  # this node's tick raises or reads the deadline
+            chunk = left = clock.charge(chunk)
+        v = low.bit_length() - 1
         if v != b2 and not adj[v] & reach:
             continue
-        new_on = on_path | 1 << v
+        new_on = on_path | low
         if a_mask & ~component_mask(adj, alive & ~new_on, a_seed, a_mask):
             continue
         if v == b2:
+            clock.spend(chunk - left)
             return path + [v]
+        frames.append((children, room, reach))
         path.append(v)
         on_path = new_on
-        frames.append(_frame(adj, room & ~adj[v], b2))
-        iters.append(iter(bits_of(adj[v] & room)))
+        children = adj[v] & room
+        room &= ~adj[v]
+        reach = component_mask(adj, room, b2) if room >> b2 & 1 else 0
+    clock.spend(chunk - left)
     return None
-
-
-def _frame(adj: tuple[int, ...], room: int, b2: int) -> tuple[int, int]:
-    """``room`` and the component of ``b2`` in it, 0 when ``b2`` is not in ``room``."""
-    return room, component_mask(adj, room, b2) if room >> b2 & 1 else 0
 
 
 def _bfs_path(

@@ -11,11 +11,14 @@ omitted when m = 0) or as JSON ``{"a": [...], "b1": ..., "b2": ...}``.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import ParseError
 from .graphs import Graph
 
 _G6_HEADER = ">>graph6<<"
+# The characters str.splitlines breaks lines at.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # Largest vertex count an edge-list header may declare: the header alone sizes
 # the adjacency lists.  graph6 needs no limit, as its body length must match n.
@@ -23,6 +26,7 @@ MAX_EDGE_LIST_VERTICES = 100_000
 
 
 def parse_edge_list(text: str) -> Graph:
+    """The graph of an edge list, with the adjacency rows set while parsing."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing 'n m' header", line=1)
@@ -37,10 +41,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError("header counts must be non-negative", line=1)
     if n > MAX_EDGE_LIST_VERTICES:
         raise ParseError(f"header declares {n} vertices, above the limit {MAX_EDGE_LIST_VERTICES}", line=1)
-    edges: set[tuple[int, int]] = set()
     body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but {len(body)} edge lines found", line=1)
+    rows = [0] * n
+    edges = []
     for lineno, ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -55,10 +60,12 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"vertex {v} out of range [0, {n})", line=lineno)
         if u >= v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", line=lineno)
-        if (u, v) in edges:
+        if rows[u] >> v & 1:
             raise ParseError(f"duplicate edge {u} {v}", line=lineno)
-        edges.add((u, v))
-    return Graph(n, frozenset(edges))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        edges.append((u, v))
+    return Graph.with_rows(n, frozenset(edges), tuple(rows))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -136,8 +143,9 @@ def parse_graph6(text: str) -> Graph:
 def parse_graph(text: str, fmt: str | None = None) -> Graph:
     """Parse either format; auto-detects when ``fmt`` is None.
 
-    graph6 strings never contain spaces, so any line with a space in its
-    first non-empty line is treated as edge-list input.
+    graph6 strings never contain spaces, so input whose first non-empty
+    line holds a space or a tab is treated as an edge list; no other line
+    decides.
     """
     if fmt == "edgelist":
         return parse_edge_list(text)
@@ -146,7 +154,8 @@ def parse_graph(text: str, fmt: str | None = None) -> Graph:
     if fmt is not None:
         raise ParseError(f"unknown graph format {fmt!r}")
     stripped = text.strip()
-    first = stripped.splitlines()[0] if stripped else ""
+    end = _LINE_BREAK.search(stripped)
+    first = stripped[: end.start()] if end else stripped
     if " " in first.strip() or "\t" in first:
         return parse_edge_list(text)
     return parse_graph6(text)

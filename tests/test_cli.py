@@ -282,6 +282,28 @@ def test_certify_trigrid_enumerates_candidates_inside_a_small_budget(tmp_path, c
         assert (code, json.loads(out)["outcome"]) == (code_expected, outcome)
 
 
+@pytest.mark.parametrize(
+    "shape, roots, collection, lhs, rhs",
+    [
+        # The clump's 3 surplus edges do not outweigh the grid's deficit.
+        ((4, 4, 3), "a:0,15 b:3,12", [], 100, 102),
+        # Its 15 surplus edges do, so the clump must be a member.
+        ((4, 5, 6), "a:0,19 b:4,15", [[20, 21, 22, 23, 24, 25]], 96, 108),
+    ],
+    ids=["empty-collection", "clump-member"],
+)
+def test_certify_output_is_pinned(tmp_path, capsys, shape, roots, collection, lhs, rhs):
+    # The whole certify document, byte for byte: the proof of infeasibility
+    # and the certificate search behind it may get faster, not different.
+    path = write(tmp_path, serialize_graph(trigrid(*shape).graph))
+    code, out, _ = run(capsys, ["certify", "-i", path, "--roots", roots])
+    report = (f'{{"collection": {json.dumps(collection)}, "holds": true, "kind": "linkage", '
+              f'"lhs_edges_doubled": {lhs}, "neighborhood_cap": 3, "rhs_bound_doubled": {rhs}}}')
+    assert code == 0
+    assert out == ('{"command": "certify", "equality": false, "outcome": "certified", '
+                   f'"report": {report}, "schema_version": 1}}\n')
+
+
 def test_fuzz_removable_refuses_m_zero(capsys):
     # No connectivity guarantees a removable path at m = 0, so failures
     # there are not violations of the claim under test.

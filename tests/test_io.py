@@ -49,9 +49,40 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             parse_edge_list("3 2\n0 1")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "missing 'n m' header"),
+            ("3\n", 1, "expected header 'n m', got '3'"),
+            ("3 x\n", 1, "non-integer header fields in '3 x'"),
+            ("3 -1\n", 1, "header counts must be non-negative"),
+            ("3 2\n0 1\n", 1, "header promises 2 edges but 1 edge lines found"),
+            ("4 3\n0 1\n1 2\n2 x\n", 4, "non-integer vertex id in '2 x'"),
+            ("4 2\n0 1\n1 2 3\n", 3, "expected 'u v', got '1 2 3'"),
+            ("4 2\n0 1\n\n\n1 4\n", 5, "vertex 4 out of range [0, 4)"),
+            ("4 2\n0 1\n\n2 2\n", 4, "edge endpoints must satisfy u < v, got 2 2"),
+            ("4 3\n0 1\n\n1 2\n\n0 1\n", 6, "duplicate edge 0 1"),
+        ],
+    )
+    def test_errors_name_their_line(self, text, line, message):
+        # Line numbers count blank lines, so they point into the input as given.
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+    def test_blank_lines_between_edges(self):
+        assert parse_edge_list("4 3\n\n0 1\n  \n1 2\n\n\n2 3\n\n") == Graph.path_graph(4)
+
     @given(graphs(max_n=8))
     def test_round_trip(self, g):
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+    @given(graphs(max_n=8))
+    def test_rows_are_set_while_parsing(self, g):
+        # The parser hands its own rows to the graph; they must be the rows
+        # the edges give.
+        parsed = parse_edge_list(serialize_edge_list(g))
+        assert parsed.adjacency_masks == Graph(g.vertex_count, g.edges).adjacency_masks
 
     @given(graphs(max_n=8))
     def test_serialize_idempotent_after_parse(self, g):
@@ -121,6 +152,14 @@ class TestAutodetect:
     def test_dispatch(self):
         assert parse_graph("3 2\n0 1\n1 2") == Graph.path_graph(3)
         assert parse_graph(serialize_graph6(Graph.cycle(4))) == Graph.cycle(4)
+
+    def test_first_non_empty_line_decides(self):
+        # Leading blank lines are skipped, and any line break str.splitlines
+        # knows ends the first line; nothing after that line is read.
+        assert parse_graph("\n  \r\n" + serialize_graph6(Graph.cycle(4)) + "\n") == Graph.cycle(4)
+        assert parse_graph("3 2\x0b0 1\x0b1 2") == Graph.path_graph(3)
+        with pytest.raises(ParseError, match="invalid graph6 character"):
+            parse_graph("C~\x0c1 2")
 
     def test_explicit_format(self):
         assert parse_graph("3 0", fmt="edgelist") == Graph(3)
