@@ -1,5 +1,6 @@
 """Rooted-graph linkage feasibility, certificates, and removable paths."""
 
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from .certificates import (
     CertificateReport,
     GmkAuditReport,
@@ -21,10 +22,8 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .feasibility import (
-    EXHAUSTIVE,
     LinkagePair,
     RemovableReport,
-    SearchBudget,
     find_linkage_pair,
     is_critically_feasible,
     is_feasible,

@@ -30,8 +30,7 @@ vertices outside ``X``.  Its neighborhood holds ``X`` throughout and
 equals it unless the growth reaches a barred vertex (forbidden, or allowed
 below ``v``), where ``C`` is dropped.  At most ``cap`` branch vertices
 join ``X`` on a path, so the enumeration is polynomial for a fixed cap.
-Each branch node is one budget tick, charged in chunks as in the
-connectivity flows (``_BudgetClock.charge``).
+Each branch node is one budget tick, charged in chunks (see ``budget``).
 """
 
 from __future__ import annotations
@@ -40,18 +39,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
 from .errors import InvalidInputError, SearchBudgetExceeded
-from .feasibility import (
-    EXHAUSTIVE,
-    LinkagePair,
-    SearchBudget,
-    _BudgetClock,
-    _clock_of,
-    _pinned_set,
-    find_linkage_pair,
-    is_critically_feasible,
-    is_feasible,
-)
+from .feasibility import LinkagePair, find_linkage_pair, is_critically_feasible, is_feasible
 from .graphs import (
     Collection,
     Graph,
@@ -62,6 +52,7 @@ from .graphs import (
     components_masks,
     mask_of,
     neighborhood_mask,
+    pinned_set,
     validate_collection,
 )
 
@@ -126,10 +117,7 @@ class Verdict:
     def to_dict(self) -> dict:
         out: dict = {"outcome": self.outcome}
         if self.pair is not None:
-            out["pair"] = {
-                "a_part": sorted(self.pair.a_part),
-                "b_path": list(self.pair.b_path.vertices),
-            }
+            out["pair"] = self.pair.to_dict()
         if self.report is not None:
             out["report"] = self.report.to_dict()
         if self.budget is not None:
@@ -149,7 +137,7 @@ def _kind_terms(rg: RootedGraph, kind: CertificateKind, u_set: Iterable[int]) ->
             raise InvalidInputError("the linkage certificate takes no u_set")
         return u_set, m + 1, m * m + 3 * m + 2
     if kind == "critical":
-        u_set = _pinned_set(rg, u_set)
+        u_set = pinned_set(rg, u_set)
         return u_set, m + 2, m * m + 5 * m + 6 + 2 * len(u_set)
     raise InvalidInputError(f"unknown certificate kind {kind!r}")
 
@@ -218,7 +206,7 @@ def critical_base_collection(rg: RootedGraph, u_set: Iterable[int]) -> Collectio
 
 
 def _candidate_members(
-    g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock
+    g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock
 ) -> list[tuple[int, int]]:
     """All connected vertex sets avoiding ``forbidden`` with at most ``cap``
     neighbors, as ``(member, neighborhood)`` mask pairs in (size,
@@ -229,7 +217,7 @@ def _candidate_members(
     and the committed part ``X`` of ``N(C)``.  At ``|X| = cap`` the member
     grows from ``C`` through vertices outside ``X`` and is dropped at the
     first barred vertex it reaches.  Every frame is one tick of ``clock``,
-    charged in chunks through :meth:`_BudgetClock.charge`."""
+    charged in chunks (see ``budget``)."""
     adj = g.adjacency_masks
     allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
     found = []
@@ -265,7 +253,7 @@ def _candidate_members(
     return sorted(found, key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
 
 
-def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: _BudgetClock):
+def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock):
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
     order with the empty collection first, each as the tuple of mask pairs
@@ -297,7 +285,7 @@ def search_collection(
     rg: RootedGraph,
     kind: CertificateKind,
     u_set: Iterable[int] = (),
-    budget: SearchBudget | _BudgetClock = EXHAUSTIVE,
+    budget: SearchBudget | BudgetClock = EXHAUSTIVE,
 ) -> CertificateReport | None:
     """Exhaustive search for a collection whose certificate holds.
 
@@ -309,7 +297,7 @@ def search_collection(
     docstring).  ``budget`` may be a clock running since an earlier call.
     """
     u_set, cap, offset = _kind_terms(rg, kind, u_set)
-    clock = _clock_of(budget)
+    clock = clock_of(budget)
     for family in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
         clock.tick()
         lhs, rhs = _doubled_sides(rg, family, cap, offset)
@@ -324,9 +312,11 @@ def theorem_check(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Verdict
 
     One ``budget`` covers both searches; a ``counterexample-candidate``
     verdict means both completed empty-handed.  Every instance provably
-    admits one of the two, so that verdict flags an implementation bug.
+    admits one of the two, so that verdict flags an implementation bug.  It
+    takes a budget, not a running clock, as an ``inconclusive`` verdict
+    reports the budget.
     """
-    clock = _BudgetClock(budget)
+    clock = BudgetClock(budget)
     try:
         pair = find_linkage_pair(rg, clock)
         if pair is not None:

@@ -13,10 +13,11 @@ import functools
 import json
 import sys
 
+from .budget import BudgetClock, SearchBudget
 from .certificates import gmk_audit, gmk_graph, theorem_check
 from .connectivity import _connectivity_up_to, vertex_connectivity
 from .errors import InvalidInputError, ParseError, SearchBudgetExceeded
-from .feasibility import SearchBudget, _BudgetClock, find_linkage_pair, is_critically_feasible, removable_path
+from .feasibility import find_linkage_pair, is_critically_feasible, removable_path
 from .graphio import parse_graph, parse_roots, parse_vertex_list
 from .graphs import Graph, RootedGraph
 from .harness import (
@@ -76,7 +77,7 @@ def _cmd_feasible(args) -> int:
     else:
         _emit(
             {"command": "feasible", "outcome": "feasible",
-             "pair": {"a_part": sorted(pair.a_part), "b_path": list(pair.b_path.vertices)}},
+             "pair": pair.to_dict()},
             [f"feasible; path {list(pair.b_path.vertices)} leaves a-part {sorted(pair.a_part)}"],
             args,
         )
@@ -109,7 +110,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_removable(args) -> int:
     rg = _load_rooted(args)
-    clock = _BudgetClock(_budget(args))  # one budget for the check and the path
+    clock = BudgetClock(_budget(args))  # one budget for the check and the path
     warnings = []
     guaranteed = False
     if args.k_check and rg.m == 0:

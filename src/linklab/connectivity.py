@@ -32,11 +32,8 @@ they were chosen in, so a count that reaches the cap is the answer, and the
 flow state is built from them only for a flow that needs an augmenting search.
 
 A budget tick is one seeded path or one network node an augmenting search
-dequeues.  A pair's seeds are charged in one ``spend``.  An augmenting search
-charges its nodes in chunks, by the protocol of ``_BudgetClock.charge``, which
-the linkage DFS and the candidate enumeration share: a node budget raises on
-the same node as with one tick per node, leaving the clock in the same state,
-and the deadline is still read at every multiple of 256 ticks.
+dequeues.  A pair's seeds are charged in one ``spend``, and an augmenting
+search charges its nodes in chunks (see ``budget``).
 """
 
 from __future__ import annotations
@@ -44,12 +41,12 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, _clock_of
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
 from .graphs import Graph, bits_of
 
 
 def _fewest_disjoint_paths(adj: tuple[int, ...], pairs: Iterable[tuple[int, int]], cap: int,
-                           clock: _BudgetClock) -> int:
+                           clock: BudgetClock) -> int:
     """``min(cap, c)`` for ``c`` the fewest internally disjoint ``s``-``t`` paths over
     the non-adjacent ``pairs`` of the graph with adjacency masks ``adj``; each count
     below the running minimum is exact.  Each pair's flow is capped at that minimum
@@ -88,7 +85,7 @@ def _fewest_disjoint_paths(adj: tuple[int, ...], pairs: Iterable[tuple[int, int]
 
 
 def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tuple[int, int]],
-             flow: int, limit: int, clock: _BudgetClock) -> int:
+             flow: int, limit: int, clock: BudgetClock) -> int:
     """The maximum number of internally disjoint ``s``-``t`` paths, capped at
     ``limit``, found by BFS augmentation from the ``flow`` seeded paths: ``s-w-t``
     for each ``w`` in the mask ``common``, and ``s-x-y-t`` for each pair in
@@ -101,8 +98,7 @@ def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tup
     neighbours other than its flow successor; the in-node of ``v`` reaches its own
     out-node if ``v`` is free, else the out-node of its flow predecessor.  A node
     lists its arcs in that order, neighbours ascending, and the BFS is first in,
-    first out.  Each dequeued node is one tick of ``clock``, charged as the module
-    docstring says."""
+    first out.  Each dequeued node is one tick of ``clock``, charged in chunks."""
     n = len(adj)
     succ = [0] * n
     pred = [0] * n
@@ -167,7 +163,7 @@ def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tup
     return limit
 
 
-def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> int:
+def vertex_connectivity(g: Graph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> int:
     """Minimum over non-adjacent pairs of the internally-disjoint-path count, taken
     over the pairs around the lowest-numbered vertex of minimum degree, each flow
     run on the adjacency masks.
@@ -179,7 +175,7 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | _BudgetClock = EXHAUSTI
     return _connectivity_up_to(g, g.vertex_count, budget)
 
 
-def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock,
+def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | BudgetClock,
                         exact: bool = True) -> int:
     """``min(vertex_connectivity(g), cap)``, with every flow capped at ``cap``; a
     count below the cap is exact.  With ``exact`` false a minimum degree below the
@@ -193,7 +189,7 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock,
     best = min(n - 1, degrees[v], cap)
     if best < cap and not exact:
         return best
-    clock = _clock_of(budget)
+    clock = clock_of(budget)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
     neighbour_pairs = ((x, y) for x in bits_of(adj[v])
@@ -201,7 +197,7 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | _BudgetClock,
     return _fewest_disjoint_paths(adj, chain(non_neighbours, neighbour_pairs), best, clock)
 
 
-def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> bool:
+def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> bool:
     """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be,
     and otherwise by flows capped at ``k``."""
     return k <= 0 or _connectivity_up_to(g, k, budget, exact=False) >= k

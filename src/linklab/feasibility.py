@@ -18,11 +18,10 @@ every step, which bounds the iteration count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .errors import InvalidInputError, SearchBudgetExceeded
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
+from .errors import InvalidInputError
 from .graphs import (
     Graph,
     Path,
@@ -33,74 +32,8 @@ from .graphs import (
     is_connected_set,
     mask_of,
     neighborhood_mask,
+    pinned_set,
 )
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for a single search call; both fields must be positive."""
-
-    max_nodes_expanded: int = 2**62
-    time_limit_ms: int = 2**62
-
-    def __post_init__(self) -> None:
-        if self.max_nodes_expanded <= 0 or self.time_limit_ms <= 0:
-            raise InvalidInputError("budget fields must be positive")
-
-
-EXHAUSTIVE = SearchBudget()
-
-
-class _BudgetClock:
-    __slots__ = ("remaining", "deadline", "ticks")
-
-    def __init__(self, budget: SearchBudget):
-        self.remaining = budget.max_nodes_expanded
-        self.deadline = time.monotonic() + budget.time_limit_ms / 1000.0
-        self.ticks = 0
-
-    def tick(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise SearchBudgetExceeded("node budget exhausted")
-        self.ticks += 1
-        if not self.ticks & 0xFF and time.monotonic() > self.deadline:
-            raise SearchBudgetExceeded("time budget exhausted")
-
-    def spend(self, count: int) -> None:
-        """``count`` calls of :meth:`tick` in one when the node budget covers them:
-        the same ticks after, and the deadline read when a multiple of 256 is crossed.
-        A ``count`` beyond the node budget raises with ``ticks`` unchanged and
-        ``remaining`` lowered by ``count``, where single ticks would count the ticks
-        before the raising one and leave ``remaining`` at -1.  Chunked callers never
-        overrun: they spend at most :meth:`room`."""
-        self.remaining -= count
-        if self.remaining < 0:
-            raise SearchBudgetExceeded("node budget exhausted")
-        before, self.ticks = self.ticks, self.ticks + count
-        if before >> 8 != self.ticks >> 8 and time.monotonic() > self.deadline:
-            raise SearchBudgetExceeded("time budget exhausted")
-
-    def room(self) -> int:
-        """How many ticks may run before the one that would raise on the node budget
-        or read the deadline: :meth:`spend` of at most this many does neither."""
-        return min(self.remaining, 255 - (self.ticks & 0xFF))
-
-    def charge(self, count: int) -> int:
-        """:meth:`spend` the ``count`` nodes before this one, :meth:`tick` this one
-        on its own, and return the next :meth:`room`.  A kernel counts its nodes
-        down from :meth:`room`, calls this when the count runs out and spends what
-        is left on every exit; a node budget then raises on the same node as with
-        one tick per node, leaving the clock in the same state, and the deadline
-        is read at every multiple of 256 ticks."""
-        self.spend(count)
-        self.tick()
-        return self.room()
-
-
-def _clock_of(budget: SearchBudget | _BudgetClock) -> _BudgetClock:
-    """A new clock for ``budget``, or ``budget`` itself when it is a running clock."""
-    return budget if isinstance(budget, _BudgetClock) else _BudgetClock(budget)
 
 
 @dataclass(frozen=True)
@@ -111,6 +44,9 @@ class LinkagePair:
 
     a_part: frozenset[int]
     b_path: Path
+
+    def to_dict(self) -> dict:
+        return {"a_part": sorted(self.a_part), "b_path": list(self.b_path.vertices)}
 
     def validate(self, rg: RootedGraph) -> None:
         g = rg.graph
@@ -135,7 +71,7 @@ def _search_linkage(
     b1: int,
     b2: int,
     banned: int,
-    clock: _BudgetClock,
+    clock: BudgetClock,
 ) -> list[int] | None:
     """The linkage kernel: an induced b1-b2 witness path avoiding ``banned``,
     or ``None`` when none exists.
@@ -160,8 +96,7 @@ def _search_linkage(
 
     A frame keeps its untried children as a mask and tries the lowest
     first, the increasing order that fixes which witness is found.  Every
-    child tried is one budget tick, charged in chunks through
-    :meth:`_BudgetClock.charge`.
+    child tried is one budget tick, charged in chunks (see ``budget``).
     """
     adj = g.adjacency_masks
     a_mask = mask_of(a_set)
@@ -213,7 +148,7 @@ def _search_linkage(
 
 
 def _bfs_path(
-    adj: tuple[int, ...], alive: int, start: int, goal: int, clock: _BudgetClock | None = None
+    adj: tuple[int, ...], alive: int, start: int, goal: int, clock: BudgetClock | None = None
 ) -> list[int] | None:
     """Deterministic shortest path inside ``alive`` from ``start`` to a
     different ``goal`` (both endpoints included); ticks ``clock``, when given,
@@ -241,7 +176,7 @@ def _bfs_path(
     return None
 
 
-def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> LinkagePair | None:
+def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> LinkagePair | None:
     """Search for a linkage pair; ``None`` proves there is none.
 
     The path is the one the linkage kernel returns: the BFS shortest
@@ -252,7 +187,7 @@ def find_linkage_pair(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXH
     budget, or a clock it shares, runs out before the search finishes; that
     outcome is deliberately distinct from both definite answers.
     """
-    path = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, _clock_of(budget))
+    path = _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 0, clock_of(budget))
     if path is None:
         return None
     rest = ((1 << rg.graph.vertex_count) - 1) & ~mask_of(path)
@@ -265,18 +200,8 @@ def is_feasible(rg: RootedGraph) -> bool:
     return find_linkage_pair(rg) is not None
 
 
-def _pinned_set(rg: RootedGraph, u_set: Iterable[int]) -> frozenset[int]:
-    """``u_set`` as a frozenset, checked to hold only non-root vertices of ``rg``."""
-    u_set = frozenset(u_set)
-    for u in u_set:
-        rg.graph._check_vertex(u)
-    if u_set & rg.roots:
-        raise InvalidInputError("u_set may not contain root vertices")
-    return u_set
-
-
 def is_critically_feasible(
-    rg: RootedGraph, u_set: frozenset[int] | set[int], budget: SearchBudget = EXHAUSTIVE
+    rg: RootedGraph, u_set: frozenset[int] | set[int], budget: SearchBudget | BudgetClock = EXHAUSTIVE
 ) -> bool:
     """Whether ``rg`` is feasible and every linkage path must pass through ``u_set``.
 
@@ -285,12 +210,12 @@ def is_critically_feasible(
     For ``m <= 1`` this provably coincides with the every-linkage-path
     reading, and it is reachability (see the module docstring), so a ``u``
     off the first path found, a shortest one, cuts nothing and costs no
-    search.  An empty ``u_set`` reduces to plain feasibility.  One ``budget``
-    covers all the searches; raises :class:`SearchBudgetExceeded` when it
-    runs out.
+    search.  An empty ``u_set`` reduces to plain feasibility.  One ``budget``,
+    or a clock running since an earlier call, covers all the searches; raises
+    :class:`SearchBudgetExceeded` when it runs out.
     """
-    u_set = _pinned_set(rg, u_set)
-    clock = _BudgetClock(budget)
+    u_set = pinned_set(rg, u_set)
+    clock = clock_of(budget)
     g, a_set, b1, b2 = rg.graph, rg.a_set, rg.b1, rg.b2
     path = _search_linkage(g, a_set, b1, b2, 0, clock)
     one_root = rg.m <= 1
@@ -345,7 +270,7 @@ def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[i
     )
 
 
-def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUSTIVE) -> RemovableReport:
+def removable_path(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> RemovableReport:
     """Find a ``b1``-``b2`` path avoiding the ``a_i`` whose removal leaves the
     graph connected.
 
@@ -364,7 +289,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | _BudgetClock = EXHAUS
     g = rg.graph
     adj = g.adjacency_masks
     full = (1 << g.vertex_count) - 1
-    clock = _clock_of(budget)
+    clock = clock_of(budget)
     found = _search_linkage(g, rg.a_set, rg.b1, rg.b2, 0, clock)
     if found is None:
         return RemovableReport(None, "infeasible", 0)

@@ -27,23 +27,23 @@ MAX_EDGE_LIST_VERTICES = 100_000
 
 def parse_edge_list(text: str) -> Graph:
     """The graph of an edge list, with the adjacency rows set while parsing."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ParseError("missing 'n m' header", line=1)
-    head = lines[0].split()
+    (at, header), body = numbered[0], numbered[1:]  # the header is the first non-blank line
+    head = header.split()
     if len(head) != 2:
-        raise ParseError(f"expected header 'n m', got {lines[0]!r}", line=1)
+        raise ParseError(f"expected header 'n m', got {header!r}", line=at)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError(f"non-integer header fields in {lines[0]!r}", line=1) from None
+        raise ParseError(f"non-integer header fields in {header!r}", line=at) from None
     if n < 0 or m < 0:
-        raise ParseError("header counts must be non-negative", line=1)
+        raise ParseError("header counts must be non-negative", line=at)
     if n > MAX_EDGE_LIST_VERTICES:
-        raise ParseError(f"header declares {n} vertices, above the limit {MAX_EDGE_LIST_VERTICES}", line=1)
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
+        raise ParseError(f"header declares {n} vertices, above the limit {MAX_EDGE_LIST_VERTICES}", line=at)
     if len(body) != m:
-        raise ParseError(f"header promises {m} edges but {len(body)} edge lines found", line=1)
+        raise ParseError(f"header promises {m} edges but {len(body)} edge lines found", line=at)
     rows = [0] * n
     edges = []
     for lineno, ln in body:

@@ -98,10 +98,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def add_edges(self, new_edges: Iterable[tuple[int, int]]) -> "Graph":
-        """A copy of this graph with the given edges added (duplicates ignored)."""
-        return Graph.from_edges(self.vertex_count, itertools.chain(self.edges, new_edges))
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
             raise InvalidInputError(f"vertex {v} out of range [0, {self.vertex_count})")
@@ -135,6 +131,16 @@ class RootedGraph:
         return len(self.a_set)
 
 
+def pinned_set(rg: RootedGraph, u_set: Iterable[int]) -> frozenset[int]:
+    """``u_set`` as a frozenset, checked to hold only non-root vertices of ``rg``."""
+    u_set = frozenset(u_set)
+    for u in u_set:
+        rg.graph._check_vertex(u)
+    if u_set & rg.roots:
+        raise InvalidInputError("u_set may not contain root vertices")
+    return u_set
+
+
 @dataclass(frozen=True)
 class Collection:
     """A family of pairwise non-adjacent, disjoint vertex sets.
@@ -158,13 +164,6 @@ class Collection:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    @property
-    def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for m in self.members:
-            out |= m
-        return frozenset(out)
 
     def to_sorted_lists(self) -> list[list[int]]:
         """JSON-friendly canonical form: sorted arrays of sorted arrays."""

@@ -18,17 +18,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal
 
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from .certificates import search_collection, theorem_check
 from .connectivity import has_connectivity_at_least
 from .errors import InvalidInputError, SearchBudgetExceeded
-from .feasibility import (
-    EXHAUSTIVE,
-    SearchBudget,
-    _BudgetClock,
-    _search_linkage,
-    find_linkage_pair,
-    removable_path,
-)
+from .feasibility import _search_linkage, find_linkage_pair, removable_path
 from .graphio import serialize_graph6
 from .graphs import Graph, RootedGraph, components_masks, mask_of
 from .planarity import find_seymour_certificate
@@ -327,7 +321,7 @@ def _cross_checks(rg: RootedGraph, verdict, budget: SearchBudget) -> str | None:
         # (the deletion form), so one deletion search per interior vertex decides it.
         pinned = [
             v for v in verdict.pair.b_path.vertices[1:-1]
-            if _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 1 << v, _BudgetClock(budget)) is None
+            if _search_linkage(rg.graph, rg.a_set, rg.b1, rg.b2, 1 << v, BudgetClock(budget)) is None
         ]
         for size in range(len(pinned) + 1):
             for u_combo in itertools.combinations(pinned, size):

@@ -32,9 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
 from .certificates import iter_collections
 from .errors import InvalidInputError
-from .feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from .graphs import (Collection, Graph, RootedGraph, bits_of, contract_masks, join_roots, mask_of,
                      validate_collection)
 
@@ -158,18 +158,19 @@ def check_seymour_certificate(rg: RootedGraph, x: Collection) -> bool:
 
 
 def find_seymour_certificate(
-    rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE
+    rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUSTIVE
 ) -> Collection | None:
     """Exhaustive search for a collection passing the planar certificate.
 
     Candidate members are connected with at most 3 neighbors, so only disc
     planarity is tested; splitting a disconnected member only shrinks the
     contracted graph's edge set, so the restriction is lossless here as well.
-    ``None`` only after exhaustion.
+    ``None`` only after exhaustion.  ``budget`` may be a clock running since
+    an earlier call.
     """
     if rg.m != 2:
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
-    clock = _BudgetClock(budget)
+    clock = clock_of(budget)
     for family in iter_collections(rg.graph, rg.roots, 3, clock):
         clock.tick()
         if _disc_planar_around_roots(rg, contract_masks(rg.graph, family)):

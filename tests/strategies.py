@@ -19,7 +19,7 @@ def graphs(draw, min_n: int = 0, max_n: int = 7, connected: bool = False):
     if connected and n > 1:
         # Thread a random spanning path through all vertices.
         order = draw(st.permutations(range(n)))
-        g = g.add_edges(zip(order, order[1:]))
+        g = Graph.from_edges(n, [*g.edges, *zip(order, order[1:])])
     return g
 
 

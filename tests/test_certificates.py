@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from linklab.certificates import (
     Verdict,
     _candidate_members,
@@ -23,7 +24,7 @@ from linklab.certificates import (
     verify_linkage_collection,
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair, is_feasible
+from linklab.feasibility import find_linkage_pair, is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, mask_of, validate_collection
 from linklab.planarity import find_seymour_certificate
 from oracles import (
@@ -121,7 +122,7 @@ class TestVerifyCritical:
 @given(rooted_graphs(max_m=3, max_n=7), st.data())
 def test_verify_matches_brute_force_arithmetic(rg, data):
     x = data.draw(collections_in(rg.graph, rg.roots))
-    free = sorted(set(range(rg.graph.vertex_count)) - rg.roots - x.support)
+    free = sorted(set(range(rg.graph.vertex_count)) - rg.roots - frozenset().union(*x))
     u_set = frozenset(data.draw(st.lists(st.sampled_from(free), unique=True)) if free else ())
     members = list(x)
     linkage = verify_linkage_collection(rg, x)
@@ -145,7 +146,7 @@ def test_verify_matches_brute_force_exhaustively():
     for m in (0, 1, 2):
         for g in small_graphs(6, m + 2):
             for rg in rooted_instances(g, m):
-                for family in iter_collections(g, rg.roots, m + 2, _BudgetClock(EXHAUSTIVE)):
+                for family in iter_collections(g, rg.roots, m + 2, BudgetClock(EXHAUSTIVE)):
                     members = [frozenset(bits_of(member)) for member, _ in family]
                     x = Collection(members)
                     assert validate_collection(g, x, rg.roots) == list(family)
@@ -248,7 +249,7 @@ class TestSearchCollection:
         for m in (1, 2, 3):
             for k in range(4):
                 rg = gmk_graph(m, k)
-                clock = _BudgetClock(EXHAUSTIVE)
+                clock = BudgetClock(EXHAUSTIVE)
                 assert _candidate_members(rg.graph, rg.roots, rg.m + 1, clock) == []
 
     def test_candidate_members_match_brute_force(self):
@@ -266,7 +267,7 @@ class TestSearchCollection:
                     brute = [(member, neighbourhood(g, member))
                              for member in brute_candidate_members(g, set(forbidden), top)]
                     for cap in range(top + 1):
-                        clock = _BudgetClock(EXHAUSTIVE)
+                        clock = BudgetClock(EXHAUSTIVE)
                         got = [(frozenset(bits_of(member)), set(bits_of(nbhd)))
                                for member, nbhd in _candidate_members(g, frozenset(forbidden), cap, clock)]
                         assert got == [(member, nbhd) for member, nbhd in brute if len(nbhd) <= cap]
@@ -282,7 +283,7 @@ class TestSearchCollection:
             g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
             forbidden = set(rng.sample(range(n), rng.randint(0, 4)))
             cap = rng.randint(0, 4)
-            got = _candidate_members(g, frozenset(forbidden), cap, _BudgetClock(EXHAUSTIVE))
+            got = _candidate_members(g, frozenset(forbidden), cap, BudgetClock(EXHAUSTIVE))
             expected = separator_candidate_members(g, forbidden, cap)
             assert [frozenset(bits_of(member)) for member, _ in got] == expected
 
@@ -291,7 +292,7 @@ class TestSearchCollection:
         # neighborhood is the triangle it hangs on; the enumeration takes
         # 1,340 branch nodes, however the |X| = cap step finds its members.
         rg = trigrid(14, 14, 6)
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         found = _candidate_members(rg.graph, rg.roots, rg.m + 1, clock)
         assert found == [(mask_of(range(196, 202)), mask_of({15, 16, 30}))]
         assert clock.ticks == 1_340
@@ -357,12 +358,12 @@ class TestSearchCollection:
 
         for g in small_graphs(6, 4):
             for rg in rooted_instances(g, 1):
-                pairs = _candidate_members(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
+                pairs = _candidate_members(g, rg.roots, 3, BudgetClock(EXHAUSTIVE))
                 members = [frozenset(bits_of(c)) for c, _ in pairs]
                 index = {pair: i for i, pair in enumerate(pairs)}
                 families = [
                     tuple(index[pair] for pair in family)
-                    for family in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE))
+                    for family in iter_collections(g, rg.roots, 3, BudgetClock(EXHAUSTIVE))
                 ]
 
                 def compatible(i, j):
@@ -379,7 +380,7 @@ class TestSearchCollection:
     def test_deep_families_do_not_recurse(self):
         # 1,100 isolated vertices: 1,100 pairwise compatible singletons, so
         # the first families grow one member at a time to the whole set.
-        families = list(islice(iter_collections(Graph(1100), frozenset(), 0, _BudgetClock(EXHAUSTIVE)), 1102))
+        families = list(islice(iter_collections(Graph(1100), frozenset(), 0, BudgetClock(EXHAUSTIVE)), 1102))
         assert [len(coll) for coll in families[:3]] == [0, 1, 2]
         assert [len(coll) for coll in families[-2:]] == [1100, 1099]
 
@@ -433,7 +434,7 @@ class TestTheoremCheck:
                 RootedGraph(Graph.path_graph(3), (1,), 0, 2), Collection()))
 
     def test_inconclusive_carries_budget(self):
-        from linklab.feasibility import SearchBudget
+        from linklab.budget import SearchBudget
 
         budget = SearchBudget(max_nodes_expanded=2)
         verdict = theorem_check(trigrid(4, 5, 6), budget)
@@ -445,7 +446,7 @@ class TestTheoremCheck:
         # The linkage DFS and the certificate search fit one budget only
         # together: one node short of their sum leaves the verdict open.
         rg = trigrid(4, 5, 6)
-        dfs, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
+        dfs, search = BudgetClock(EXHAUSTIVE), BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rg, dfs) is None
         assert search_collection(rg, "linkage", budget=search).holds
         # 22 shortest-path dequeues, then 172 DFS nodes; 80 branch nodes of

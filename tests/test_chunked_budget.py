@@ -1,7 +1,7 @@
 """Chunked budget charging against a per-node reference clock.
 
 The linkage DFS, the candidate-member enumeration and the augmenting-path
-searches count their nodes down from ``_BudgetClock.room()`` and charge them
+searches count their nodes down from ``BudgetClock.room()`` and charge them
 in chunks.  A clock whose ``room()`` is always 0 makes every one of those
 kernels charge each node on its own, one ``spend(0)`` and one ``tick()``, so
 it is the one-tick-per-node reference.  Under every node budget and every
@@ -11,15 +11,16 @@ the same message, and the clock in the same state.
 
 import pytest
 
+from linklab.budget import BudgetClock, SearchBudget
 from linklab.certificates import _candidate_members
 from linklab.connectivity import vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import SearchBudget, _BudgetClock, find_linkage_pair
+from linklab.feasibility import find_linkage_pair
 from linklab.graphs import Graph, RootedGraph
 from strategies import trigrid
 
 
-class _PerNodeClock(_BudgetClock):
+class _PerNodeClock(BudgetClock):
     """The reference: no room, so every node is charged on its own."""
 
     def room(self) -> int:
@@ -43,7 +44,7 @@ KERNELS = {
 }
 
 
-def _end_state(run, clock: _BudgetClock) -> tuple:
+def _end_state(run, clock: BudgetClock) -> tuple:
     """The answer or the message raised, then the clock's ticks and remaining."""
     try:
         answer = run(clock)
@@ -63,11 +64,11 @@ def test_node_budgets_end_as_single_ticks_do(kernel):
     run, total = KERNELS[kernel]
     outcomes = set()
     for budget in _budgets(total):
-        chunked = _end_state(run, _BudgetClock(SearchBudget(max_nodes_expanded=budget)))
+        chunked = _end_state(run, BudgetClock(SearchBudget(max_nodes_expanded=budget)))
         assert chunked == _end_state(run, _PerNodeClock(SearchBudget(max_nodes_expanded=budget))), budget
         outcomes.add(chunked[0] == "node budget exhausted")
     assert outcomes == {True, False}
-    assert _end_state(run, _BudgetClock(SearchBudget()))[1] == total
+    assert _end_state(run, BudgetClock(SearchBudget()))[1] == total
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -76,7 +77,7 @@ def test_a_past_deadline_is_read_where_single_ticks_read_it(kernel):
     raised = 0
     for start in range(256):
         states = []
-        for clock in (_BudgetClock(SearchBudget()), _PerNodeClock(SearchBudget())):
+        for clock in (BudgetClock(SearchBudget()), _PerNodeClock(SearchBudget())):
             clock.ticks, clock.deadline = start, -1.0
             states.append(_end_state(run, clock))
         assert states[0] == states[1], start

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from linklab.budget import EXHAUSTIVE, BudgetClock
 from linklab.cli import cli_main
 from linklab.connectivity import vertex_connectivity
-from linklab.feasibility import EXHAUSTIVE, _BudgetClock, removable_path
+from linklab.feasibility import removable_path
 from linklab.graphio import parse_graph, serialize_graph
 from linklab.graphs import RootedGraph
 from strategies import trigrid
@@ -224,7 +225,7 @@ def test_removable_k_check_spends_one_budget(tmp_path, capsys):
     edges = sorted(tuple(sorted((v, (v + d) % 10))) for v in range(10) for d in (1, 2))
     text = "10 20\n" + "".join(f"{u} {v}\n" for u, v in edges)
     rg = RootedGraph(parse_graph(text), (0,), 5, 6)
-    check, search = _BudgetClock(EXHAUSTIVE), _BudgetClock(EXHAUSTIVE)
+    check, search = BudgetClock(EXHAUSTIVE), BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(rg.graph, check) == 4
     assert removable_path(rg, search).ok
     total = check.ticks + search.ticks

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from networkx.algorithms.connectivity import local_node_connectivity
 
+from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from linklab.connectivity import (
     _fewest_disjoint_paths,
     has_connectivity_at_least,
     vertex_connectivity,
 )
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock
 from linklab.graphs import Graph
 from linklab.harness import CampaignConfig, gen_random_rooted, small_graphs
 from oracles import brute_local_connectivity, brute_min_separator
@@ -94,7 +94,7 @@ def test_matches_brute_force_exhaustively():
             assert has_connectivity_at_least(g, k) == (brute >= k)
 
 
-def _pair_count(g: Graph, s: int, t: int, limit: int, clock: _BudgetClock) -> int:
+def _pair_count(g: Graph, s: int, t: int, limit: int, clock: BudgetClock) -> int:
     return _fewest_disjoint_paths(g.adjacency_masks, [(s, t)], limit, clock)
 
 
@@ -110,7 +110,7 @@ def test_pair_counts_match_brute_force_exhaustively():
         for s, t in _non_adjacent_pairs(g):
             brute = brute_local_connectivity(g, s, t)
             for limit in range(1, g.vertex_count + 1):
-                assert _pair_count(g, s, t, limit, _BudgetClock(EXHAUSTIVE)) == min(brute, limit)
+                assert _pair_count(g, s, t, limit, BudgetClock(EXHAUSTIVE)) == min(brute, limit)
 
 
 def test_pair_counts_match_networkx():
@@ -123,7 +123,7 @@ def test_pair_counts_match_networkx():
         nxg.add_nodes_from(range(n))
         pairs = _non_adjacent_pairs(g)
         for s, t in rng.sample(pairs, min(5, len(pairs))):
-            assert _pair_count(g, s, t, n, _BudgetClock(EXHAUSTIVE)) == local_node_connectivity(nxg, s, t)
+            assert _pair_count(g, s, t, n, BudgetClock(EXHAUSTIVE)) == local_node_connectivity(nxg, s, t)
 
 
 def test_pair_counts_match_networkx_on_kconn_instances():
@@ -139,7 +139,7 @@ def test_pair_counts_match_networkx_on_kconn_instances():
             for s, t in _non_adjacent_pairs(g):
                 exact = local_node_connectivity(nxg, s, t)
                 for limit in (2 * m + 2, g.vertex_count):
-                    assert _pair_count(g, s, t, limit, _BudgetClock(EXHAUSTIVE)) == min(exact, limit)
+                    assert _pair_count(g, s, t, limit, BudgetClock(EXHAUSTIVE)) == min(exact, limit)
 
 
 def test_ladder_is_settled_by_seeding():
@@ -150,7 +150,7 @@ def test_ladder_is_settled_by_seeding():
     for k in (1, 2, 5, 9):
         edges = [(0, 2 + i) for i in range(k)] + [(1, 2 + k + i) for i in range(k)]
         g = Graph.from_edges(2 + 2 * k, edges + [(2 + i, 2 + k + i) for i in range(k)])
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         assert _pair_count(g, 0, 1, k, clock) == k
         assert clock.ticks == k
 
@@ -161,10 +161,10 @@ def test_augmenting_path_cancels_flow():
     # path runs 0-2 into 3, back along the seeded flow to 1, then 1-4-5,
     # cancelling the flow on 1->3.
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
-    clock = _BudgetClock(EXHAUSTIVE)
+    clock = BudgetClock(EXHAUSTIVE)
     assert _pair_count(g, 0, 5, 6, clock) == 2
     assert clock.ticks == 11
-    clock = _BudgetClock(EXHAUSTIVE)
+    clock = BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(g, clock) == 2
     assert clock.ticks == 24
 
@@ -178,7 +178,7 @@ def test_node_budget_raises_where_single_ticks_would():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
     states = []
     for budget in range(1, 31):
-        clock = _BudgetClock(SearchBudget(max_nodes_expanded=budget))
+        clock = BudgetClock(SearchBudget(max_nodes_expanded=budget))
         try:
             answer = vertex_connectivity(g, clock)
         except SearchBudgetExceeded:
@@ -201,7 +201,7 @@ def test_circulant_budget_boundary():
 def test_searches_read_the_deadline_every_256_ticks(start, ticks):
     # On P_400 the flows from v_0 are settled by augmenting searches alone,
     # so with the deadline past, the first multiple of 256 ticks raises.
-    clock = _BudgetClock(EXHAUSTIVE)
+    clock = BudgetClock(EXHAUSTIVE)
     clock.ticks, clock.deadline = start, -1.0
     with pytest.raises(SearchBudgetExceeded, match="time budget"):
         vertex_connectivity(Graph.path_graph(400), clock)
@@ -241,7 +241,7 @@ def test_common_neighbours_settle_complete_bipartite(k, extra):
     # C(k, 2) pairs of its neighbours.  At extra = 2 those pairs share k + 2
     # neighbours, so the count also catches seeding past the cap.
     g = Graph.from_edges(2 * k + extra, [(a, b) for a in range(k) for b in range(k, 2 * k + extra)])
-    clock = _BudgetClock(EXHAUSTIVE)
+    clock = BudgetClock(EXHAUSTIVE)
     assert vertex_connectivity(g, clock) == k
     assert clock.ticks == k * (k + extra - 1) + k * math.comb(k, 2)
 
@@ -252,7 +252,7 @@ def test_circulant_within_a_small_budget():
     # seeding settles few flows; they take 119,574 ticks.
     n = 100
     g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
-    clock = _BudgetClock(SearchBudget(max_nodes_expanded=200_000))
+    clock = BudgetClock(SearchBudget(max_nodes_expanded=200_000))
     assert vertex_connectivity(g, clock) == 10
     assert clock.ticks == 119_574
 
@@ -262,7 +262,7 @@ def test_threshold_caps_every_flow():
     # paths instead of running it up to the minimum degree 10.
     n = 100
     g = Graph.from_edges(n, [(i, (i + d) % n) for i in range(n) for d in range(1, 6)])
-    clock = _BudgetClock(EXHAUSTIVE)
+    clock = BudgetClock(EXHAUSTIVE)
     assert has_connectivity_at_least(g, 4, clock)
     assert clock.ticks == 33_335
 

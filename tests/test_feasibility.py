@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from linklab.errors import InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import (
-    EXHAUSTIVE,
-    SearchBudget,
-    _BudgetClock,
     _bfs_path,
     find_linkage_pair,
     is_critically_feasible,
@@ -20,6 +18,7 @@ from linklab.feasibility import (
 )
 from linklab.graphs import Graph, RootedGraph, mask_of
 from linklab.harness import rooted_instances, small_graphs
+from linklab.planarity import find_seymour_certificate
 from oracles import (
     _components_of,
     _path_is_witness,
@@ -84,7 +83,7 @@ class TestFindLinkagePair:
         # each component search once its target is covered changes no prune:
         # trigrid(7, 7, 6) takes 40,661 nodes either way.
         for shape, nodes in (((6, 7, 6), 10_204), ((7, 7, 6), 40_661)):
-            clock = _BudgetClock(EXHAUSTIVE)
+            clock = BudgetClock(EXHAUSTIVE)
             assert find_linkage_pair(trigrid(*shape), clock) is None
             assert clock.ticks == nodes
 
@@ -117,7 +116,7 @@ class TestFindLinkagePair:
         # clock sums the ticks of every search, so the pin holds the effort
         # of the prunes as well as their answers.
         counts = [0, 0]
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         for g in small_graphs(7, min_n=m + 2):
             for rg in rooted_instances(g, m):
                 counts[0] += 1
@@ -145,7 +144,7 @@ class TestFindLinkagePair:
         # constrains that order; here 22 of the 380 kept instances are feasible.
         rng = random.Random(20261019)
         kept = feasible = 0
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         for _ in range(1500):
             n, p = rng.randint(9, 13), rng.uniform(0.18, 0.32)
             g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
@@ -205,7 +204,7 @@ class TestIsFeasible:
         if not missing:
             return
         extra = data.draw(st.sampled_from(missing))
-        bigger = RootedGraph(rg.graph.add_edges([extra]), rg.a_set, rg.b1, rg.b2)
+        bigger = RootedGraph(Graph.from_edges(rg.graph.vertex_count, [*rg.graph.edges, extra]), rg.a_set, rg.b1, rg.b2)
         assert is_feasible(bigger)
         pair.validate(bigger)
 
@@ -381,14 +380,14 @@ class TestClosedFormsAtMostOneRoot:
     def test_feasibility_ticks_once_per_dequeued_vertex(self):
         # Between the ends of P_10 the BFS dequeues 0..8 and finds 9 beside 8.
         rg = RootedGraph(Graph.path_graph(10), (), 0, 9)
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rg, clock).b_path.vertices == tuple(range(10))
         assert clock.ticks == 9
         with pytest.raises(SearchBudgetExceeded):
             find_linkage_pair(rg, SearchBudget(max_nodes_expanded=8))
         # One root hanging off the path changes nothing on the path.
         rooted = RootedGraph(Graph.from_edges(11, [(v, v + 1) for v in range(9)] + [(4, 10)]), (10,), 0, 9)
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         assert find_linkage_pair(rooted, clock).a_part == {10}
         assert clock.ticks == 9
 
@@ -412,7 +411,7 @@ class TestBudgetClock:
                 deadline: float | None = None) -> tuple[int, int] | str:
         """Clock state after ``count`` ticks, charged by one ``spend`` or by single
         ``tick`` calls, or the message the clock raised with."""
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         clock.remaining, clock.ticks = remaining, start
         if deadline is not None:
             clock.deadline = deadline
@@ -443,3 +442,25 @@ class TestBudgetClock:
             assert (spent == "time budget exhausted") == crosses
             raised.add(crosses)
         assert raised == {True, False}
+
+    @pytest.mark.parametrize("rg, u_set", [
+        (trigrid(3, 3, 4), {5}),  # infeasible
+        # Feasible, and every b1-b2 path passes 4, so the deletion search runs.
+        (RootedGraph(Graph.from_edges(5, [(0, 1), (0, 4), (2, 4), (3, 4)]), (0, 1), 2, 3), {4}),
+    ])
+    def test_one_running_clock_covers_the_public_searches(self, rg, u_set):
+        # Each search accepts a running clock and spends on it what a run of
+        # its own would tick.
+        runs = [
+            lambda budget: find_linkage_pair(rg, budget),
+            lambda budget: is_critically_feasible(rg, u_set, budget),
+            lambda budget: find_seymour_certificate(rg, budget),
+        ]
+        alone = []
+        for run in runs:
+            clock = BudgetClock(EXHAUSTIVE)
+            alone.append((run(clock), clock.ticks))
+        shared = BudgetClock(EXHAUSTIVE)
+        assert [run(shared) for run in runs] == [answer for answer, _ in alone]
+        assert shared.ticks == sum(ticks for _, ticks in alone)
+        assert all(ticks for _, ticks in alone)

@@ -264,4 +264,4 @@ class TestCollectionValidation:
         split = Collection(parts)
         validate_collection(g, split)
         assert all(is_connected_set(g, m) for m in split)
-        assert split.support == x.support
+        assert frozenset().union(*split) == frozenset().union(*x)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 import linklab.harness
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
-from linklab.feasibility import EXHAUSTIVE, SearchBudget, _BudgetClock, find_linkage_pair
+from linklab.feasibility import find_linkage_pair
 from linklab.graphio import parse_graph6
 from linklab.graphs import Graph, RootedGraph
 from linklab.harness import (
@@ -46,7 +47,7 @@ def filter_every_step(config: CampaignConfig, trial: int) -> RootedGraph:
         raise GenerationError(f"no graph on {n} vertices is {k}-connected")
     while not has_connectivity_at_least(g, k):
         missing = sorted(set(pairs) - g.edges)
-        g = g.add_edges([rng.choice(missing)])
+        g = Graph.from_edges(n, [*g.edges, rng.choice(missing)])
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 
@@ -72,7 +73,7 @@ class TestGeneration:
         # The effort of the connectivity filter over the draws above, pinned:
         # seeded paths plus the network nodes of 620 augmenting-search
         # dequeues over both settings, one tick each, on one shared clock.
-        clock = _BudgetClock(EXHAUSTIVE)
+        clock = BudgetClock(EXHAUSTIVE)
         checks = []
 
         def on_shared_clock(g, k, budget):

@@ -73,6 +73,19 @@ class TestEdgeList:
     def test_blank_lines_between_edges(self):
         assert parse_edge_list("4 3\n\n0 1\n  \n1 2\n\n\n2 3\n\n") == Graph.path_graph(4)
 
+    def test_blank_lines_before_the_header(self):
+        # The header is the first non-blank line, and errors keep the real line numbers.
+        assert parse_graph("\n3 2\n0 1\n1 2\n") == Graph.path_graph(3)
+        assert parse_edge_list(" \n\n3 2\n0 1\n1 2\n") == Graph.path_graph(3)
+        for text, line, message in [
+            ("\n3 x\n0 1\n", 2, "non-integer header fields in '3 x'"),
+            ("\n\n4 1\n\n0 4\n", 5, "vertex 4 out of range [0, 4)"),
+            ("\n  \n", 1, "missing 'n m' header"),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_edge_list(text)
+            assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
     @given(graphs(max_n=8))
     def test_round_trip(self, g):
         assert parse_edge_list(serialize_edge_list(g)) == g

@@ -1,0 +1,49 @@
+"""Which library modules may import which names from one another.
+
+Every module of ``src/linklab`` is parsed, not imported, so a cycle or a
+private import shows here before it shows at run time.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "linklab"
+
+
+def _imports() -> list[tuple[str, str, str]]:
+    """Every ``(importer, imported module, name)`` of a relative import in the library."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    module = node.module or alias.name
+                    found.append((path.stem, module, alias.name))
+    return found
+
+
+IMPORTS = _imports()
+
+
+def test_the_library_is_parsed():
+    importers = {importer for importer, _, _ in IMPORTS}
+    assert {"budget", "feasibility", "certificates", "connectivity", "cli"} <= importers
+
+
+def test_the_budget_module_depends_only_on_errors():
+    assert {module for importer, module, _ in IMPORTS if importer == "budget"} == {"errors"}
+
+
+@pytest.mark.parametrize("importer", ["connectivity", "graphs"])
+def test_feasibility_is_not_imported_below_it(importer):
+    assert "feasibility" not in {module for who, module, _ in IMPORTS if who == importer}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    private = {(importer, module, name) for importer, module, name in IMPORTS if name.startswith("_")}
+    assert private == {
+        ("harness", "feasibility", "_search_linkage"),
+        ("cli", "connectivity", "_connectivity_up_to"),
+    }

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linklab.budget import EXHAUSTIVE, BudgetClock
 import linklab.planarity
 from linklab.certificates import iter_collections
 from linklab.errors import InvalidCollectionError, InvalidInputError
-from linklab.feasibility import EXHAUSTIVE, _BudgetClock, is_feasible
+from linklab.feasibility import is_feasible
 from linklab.graphs import Collection, Graph, RootedGraph, bits_of, contract_masks
 from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
@@ -300,7 +301,7 @@ class TestSeymourCertificate:
         pairs = 0
         for g in small_graphs(5, min_n=4):
             for rg in rooted_instances(g, 2):
-                for family in iter_collections(g, rg.roots, 3, _BudgetClock(EXHAUSTIVE)):
+                for family in iter_collections(g, rg.roots, 3, BudgetClock(EXHAUSTIVE)):
                     members = [frozenset(bits_of(member)) for member, _ in family]
                     expected = brute_seymour_certificate(rg, members)
                     assert check_seymour_certificate(rg, Collection(members)) == expected, (rg, members)

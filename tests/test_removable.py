@@ -55,7 +55,7 @@ def test_m_zero_instances():
 
 def test_budget_propagates():
     from linklab.errors import SearchBudgetExceeded
-    from linklab.feasibility import SearchBudget
+    from linklab.budget import SearchBudget
 
     import pytest
 
@@ -68,7 +68,7 @@ def test_one_budget_covers_search_and_improvement():
     # The linkage DFS takes 4 nodes and the improvement loop 2 (one
     # iteration), so 6 nodes answer and 5 must not.
     from linklab.errors import SearchBudgetExceeded
-    from linklab.feasibility import SearchBudget
+    from linklab.budget import SearchBudget
 
     import pytest
 
