@@ -40,11 +40,12 @@ EXHAUSTIVE = SearchBudget()
 
 
 class BudgetClock:
-    """A running :class:`SearchBudget`: the nodes left, the deadline and the ticks so far."""
+    """A running :class:`SearchBudget`: the budget, nodes left, deadline and ticks so far."""
 
-    __slots__ = ("remaining", "deadline", "ticks")
+    __slots__ = ("budget", "remaining", "deadline", "ticks")
 
     def __init__(self, budget: SearchBudget):
+        self.budget = budget
         self.remaining = budget.max_nodes_expanded
         self.deadline = time.monotonic() + budget.time_limit_ms / 1000.0
         self.ticks = 0

@@ -257,9 +257,10 @@ def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: Budge
     """Every collection of connected members avoiding ``forbidden`` whose
     neighborhoods have at most ``cap`` vertices, in canonical depth-first
     order with the empty collection first, each as the tuple of mask pairs
-    :func:`validate_collection` would return for it.  The precomputation
-    ticks ``clock`` per branch node of the candidate enumeration and per
-    compatibility row."""
+    :func:`validate_collection` would return for it.  It ticks ``clock`` once
+    per family as it yields it (the empty one before the enumeration), per
+    branch node of the candidate enumeration and per compatibility row."""
+    clock.tick()
     yield ()
     pairs = _candidate_members(g, forbidden, cap, clock)
     compatible = []
@@ -277,6 +278,7 @@ def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: Budge
             i = (joinable & -joinable).bit_length() - 1
             stack.append((family, joinable & (joinable - 1)))
             family += (pairs[i],)
+            clock.tick()
             yield family
             stack.append((family, joinable & compatible[i]))
 
@@ -299,7 +301,6 @@ def search_collection(
     u_set, cap, offset = _kind_terms(rg, kind, u_set)
     clock = clock_of(budget)
     for family in iter_collections(rg.graph, rg.roots | u_set, cap, clock):
-        clock.tick()
         lhs, rhs = _doubled_sides(rg, family, cap, offset)
         if lhs <= rhs:
             x = Collection(frozenset(bits_of(member)) for member, _ in family)
@@ -307,23 +308,23 @@ def search_collection(
     return None
 
 
-def theorem_check(rg: RootedGraph, budget: SearchBudget = EXHAUSTIVE) -> Verdict:
+def theorem_check(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> Verdict:
     """Decide an instance: a feasibility witness or a linkage certificate.
 
     One ``budget`` covers both searches; a ``counterexample-candidate``
     verdict means both completed empty-handed.  Every instance provably
-    admits one of the two, so that verdict flags an implementation bug.  It
-    takes a budget, not a running clock, as an ``inconclusive`` verdict
-    reports the budget.
+    admits one of the two, so that verdict flags an implementation bug.
+    ``budget`` may be a clock running since an earlier call; an
+    ``inconclusive`` verdict reports the budget the clock runs.
     """
-    clock = BudgetClock(budget)
+    clock = clock_of(budget)
     try:
         pair = find_linkage_pair(rg, clock)
         if pair is not None:
             return Verdict("feasible", pair=pair)
         report = search_collection(rg, "linkage", budget=clock)
     except SearchBudgetExceeded:
-        return Verdict("inconclusive", budget=budget)
+        return Verdict("inconclusive", budget=clock.budget)
     if report is not None:
         return Verdict("certified", report=report)
     return Verdict("counterexample-candidate")

@@ -15,7 +15,7 @@ import sys
 
 from .budget import BudgetClock, SearchBudget
 from .certificates import gmk_audit, gmk_graph, theorem_check
-from .connectivity import _connectivity_up_to, vertex_connectivity
+from .connectivity import vertex_connectivity
 from .errors import InvalidInputError, ParseError, SearchBudgetExceeded
 from .feasibility import find_linkage_pair, is_critically_feasible, removable_path
 from .graphio import parse_graph, parse_roots, parse_vertex_list
@@ -117,7 +117,7 @@ def _cmd_removable(args) -> int:
         warnings.append("success is not guaranteed at m = 0, whatever the connectivity")
     elif args.k_check:
         needed = 2 * rg.m + 2
-        connectivity = _connectivity_up_to(rg.graph, needed, clock)  # exact below `needed`
+        connectivity = vertex_connectivity(rg.graph, clock, needed)  # exact below `needed`
         guaranteed = connectivity >= needed
         if not guaranteed:
             warnings.append(

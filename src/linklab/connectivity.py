@@ -42,6 +42,7 @@ from itertools import chain
 from typing import Iterable
 
 from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
+from .errors import InvalidInputError
 from .graphs import Graph, bits_of
 
 
@@ -163,32 +164,26 @@ def _augment(adj: tuple[int, ...], s: int, t: int, common: int, seeded: list[tup
     return limit
 
 
-def vertex_connectivity(g: Graph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> int:
+def vertex_connectivity(g: Graph, budget: SearchBudget | BudgetClock = EXHAUSTIVE,
+                        cap: int | None = None) -> int:
     """Minimum over non-adjacent pairs of the internally-disjoint-path count, taken
     over the pairs around the lowest-numbered vertex of minimum degree, each flow
-    run on the adjacency masks.
+    run on the adjacency masks.  With a ``cap`` it is ``min(connectivity, cap)``:
+    every flow is capped at ``cap``, and a count below the cap is exact.
 
     A budget node is one network node (an implicit in- or out-node) dequeued by an
     augmenting-path search, or one seeded path; raises
     :class:`SearchBudgetExceeded` when the budget, or a clock shared with other
-    calls, runs out."""
-    return _connectivity_up_to(g, g.vertex_count, budget)
-
-
-def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | BudgetClock,
-                        exact: bool = True) -> int:
-    """``min(vertex_connectivity(g), cap)``, with every flow capped at ``cap``; a
-    count below the cap is exact.  With ``exact`` false a minimum degree below the
-    cap is returned as it is, with no flow: it settles a threshold test."""
+    calls, runs out, and :class:`InvalidInputError` on a negative ``cap``."""
     n = g.vertex_count
+    if cap is not None and cap < 0:
+        raise InvalidInputError(f"connectivity cap {cap} is negative")
     if n <= 1:
         return 0
     adj = g.adjacency_masks
-    degrees = [row.bit_count() for row in adj]
+    degrees = list(map(int.bit_count, adj))
     v = degrees.index(min(degrees))
-    best = min(n - 1, degrees[v], cap)
-    if best < cap and not exact:
-        return best
+    best = min(n - 1, degrees[v], n if cap is None else cap)
     clock = clock_of(budget)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
@@ -198,6 +193,7 @@ def _connectivity_up_to(g: Graph, cap: int, budget: SearchBudget | BudgetClock,
 
 
 def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> bool:
-    """``vertex_connectivity(g) >= k``, settled by the minimum degree when it can be,
-    and otherwise by flows capped at ``k``."""
-    return k <= 0 or _connectivity_up_to(g, k, budget, exact=False) >= k
+    """``vertex_connectivity(g) >= k``: false with no flow when ``n <= k`` or the
+    minimum degree is below ``k``, and otherwise settled by flows capped at ``k``."""
+    return k <= 0 or (g.vertex_count > k and min(map(int.bit_count, g.adjacency_masks)) >= k
+                      and vertex_connectivity(g, budget, k) >= k)

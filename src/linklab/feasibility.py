@@ -226,7 +226,7 @@ def is_critically_feasible(
 
 
 def two_linkage(
-    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: SearchBudget = EXHAUSTIVE
+    g: Graph, s1: int, t1: int, s2: int, t2: int, budget: SearchBudget | BudgetClock = EXHAUSTIVE
 ) -> tuple[Path, Path] | None:
     """Two vertex-disjoint paths ``s1 -> t1`` and ``s2 -> t2``, or ``None``.
 
@@ -234,6 +234,7 @@ def two_linkage(
     ``s1, t1`` beside an ``s2``-``t2`` path is the same thing as two disjoint
     paths.  The ``s2``-``t2`` path comes from :func:`find_linkage_pair`, the
     ``s1``-``t1`` path is the shortest one inside the returned ``a_part``.
+    ``budget``, or a clock running since an earlier call, bounds the search.
     """
     pair = find_linkage_pair(RootedGraph(g, (s1, t1), s2, t2), budget)
     if pair is None:

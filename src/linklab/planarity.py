@@ -172,7 +172,6 @@ def find_seymour_certificate(
         raise InvalidInputError("the planar certificate applies to 2-rooted graphs only")
     clock = clock_of(budget)
     for family in iter_collections(rg.graph, rg.roots, 3, clock):
-        clock.tick()
         if _disc_planar_around_roots(rg, contract_masks(rg.graph, family)):
             return Collection(frozenset(bits_of(member)) for member, _ in family)
     return None

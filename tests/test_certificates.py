@@ -455,6 +455,16 @@ class TestTheoremCheck:
         assert theorem_check(rg, SearchBudget(max_nodes_expanded=276)).outcome == "inconclusive"
         assert theorem_check(rg, SearchBudget(max_nodes_expanded=277)).outcome == "certified"
 
+    def test_running_clock_that_runs_out_reports_its_budget(self):
+        # An earlier search leaves the shared clock 106 of its 300 nodes, short
+        # of the 277 the verdict needs; the verdict names the clock's budget.
+        rg = trigrid(4, 5, 6)
+        budget = SearchBudget(max_nodes_expanded=300)
+        clock = BudgetClock(budget)
+        assert find_linkage_pair(rg, clock) is None
+        assert clock.ticks == 194
+        assert theorem_check(rg, clock) == Verdict("inconclusive", budget=budget)
+
     def test_verdict_serialization(self):
         verdict = theorem_check(gmk_graph(2, 1))
         data = verdict.to_dict()

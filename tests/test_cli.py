@@ -64,6 +64,16 @@ def test_removable_k_check_warns_but_attempts(tmp_path, capsys):
     assert any("below 6" in w for w in payload["warnings"])
 
 
+def test_removable_k_check_reports_the_capped_connectivity(tmp_path, capsys):
+    # Two K_7 glued on 4, 5, 6: minimum degree 6, so the degree does not settle
+    # the check at 6, and the capped flows find the separator {4, 5, 6}.
+    edges = sorted({(u, v) for part in (range(7), range(4, 11)) for u in part for v in part if u < v})
+    path = write(tmp_path, f"11 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    code, out, _ = run(capsys, ["removable", "-i", path, "--roots", "a:0,10 b:1,9", "--k-check"])
+    assert code == 0
+    assert json.loads(out)["warnings"] == ["connectivity 3 is below 6; success is not guaranteed"]
+
+
 def test_removable_m_zero_is_not_a_claim_violation(tmp_path, capsys):
     # K_{2,3} is 2-connected, but with b1, b2 on the 2-side every b1-b2 path
     # leaves two components: at m = 0 no connectivity guarantees success.

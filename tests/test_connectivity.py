@@ -15,7 +15,7 @@ from linklab.connectivity import (
     has_connectivity_at_least,
     vertex_connectivity,
 )
-from linklab.errors import SearchBudgetExceeded
+from linklab.errors import InvalidInputError, SearchBudgetExceeded
 from linklab.graphs import Graph
 from linklab.harness import CampaignConfig, gen_random_rooted, small_graphs
 from oracles import brute_local_connectivity, brute_min_separator
@@ -86,12 +86,27 @@ def test_threshold_consistency(g):
 
 
 def test_matches_brute_force_exhaustively():
-    # Every graph with n <= 7, at every threshold from 0 to n + 1.
+    # Every graph with n <= 7, at every threshold and cap from 0 to n + 1.
     for g in small_graphs(7):
         brute = brute_min_separator(g)
         assert vertex_connectivity(g) == brute
         for k in range(g.vertex_count + 2):
             assert has_connectivity_at_least(g, k) == (brute >= k)
+            assert vertex_connectivity(g, cap=k) == min(brute, k)
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(1), Graph.complete(4)])
+def test_negative_cap_is_invalid_input(g):
+    with pytest.raises(InvalidInputError):
+        vertex_connectivity(g, cap=-1)
+
+
+@pytest.mark.parametrize("g, k", [(Graph.path_graph(50), 2), (Graph.complete(4), 4)])
+def test_threshold_is_refused_without_a_flow(g, k):
+    # A minimum degree below k, or n <= k, settles the test before any flow runs.
+    clock = BudgetClock(EXHAUSTIVE)
+    assert not has_connectivity_at_least(g, k, clock)
+    assert clock.ticks == 0
 
 
 def _pair_count(g: Graph, s: int, t: int, limit: int, clock: BudgetClock) -> int:

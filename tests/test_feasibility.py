@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
+from linklab.certificates import theorem_check
 from linklab.errors import InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import (
     _bfs_path,
@@ -455,6 +456,7 @@ class TestBudgetClock:
             lambda budget: find_linkage_pair(rg, budget),
             lambda budget: is_critically_feasible(rg, u_set, budget),
             lambda budget: find_seymour_certificate(rg, budget),
+            lambda budget: theorem_check(rg, budget),
         ]
         alone = []
         for run in runs:

@@ -12,15 +12,18 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "linklab"
 
 
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def _imports() -> list[tuple[str, str, str]]:
     """Every ``(importer, imported module, name)`` of a relative import in the library."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stem, tree in TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 for alias in node.names:
                     module = node.module or alias.name
-                    found.append((path.stem, module, alias.name))
+                    found.append((stem, module, alias.name))
     return found
 
 
@@ -43,7 +46,18 @@ def test_feasibility_is_not_imported_below_it(importer):
 
 def test_private_names_cross_modules_only_where_listed():
     private = {(importer, module, name) for importer, module, name in IMPORTS if name.startswith("_")}
-    assert private == {
-        ("harness", "feasibility", "_search_linkage"),
-        ("cli", "connectivity", "_connectivity_up_to"),
+    assert private == {("harness", "feasibility", "_search_linkage")}
+
+
+def test_every_public_search_takes_a_budget_or_a_running_clock():
+    # A public function with a budget accepts a clock running since an earlier call.
+    budgets = {
+        f"{stem}.{node.name}": ast.unparse(arg.annotation)
+        for stem, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg == "budget"
     }
+    assert len(budgets) >= 8
+    assert {name: note for name, note in budgets.items() if note != "SearchBudget | BudgetClock"} == {}
