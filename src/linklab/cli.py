@@ -38,10 +38,17 @@ _CAMPAIGNS = {
 
 
 def _read_input(source: str) -> str:
+    """The bytes of the file, or of stdin for ``-``, decoded as strict UTF-8."""
     if source == "-":
-        return sys.stdin.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _load_graph(args) -> Graph:

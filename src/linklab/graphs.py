@@ -38,10 +38,11 @@ class Graph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise InvalidInputError("vertex_count must be non-negative")
         for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
+            if not 0 <= u < v < n:
                 raise InvalidInputError(f"edge ({u}, {v}) is not canonical or out of range")
 
     @classmethod
@@ -93,7 +94,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return (u, v) in self.edges if u < v else (v, u) in self.edges
+        return self.adjacency_masks[u] >> v & 1 == 1
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -144,9 +144,14 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         short = sum(row.bit_count() < k for row in rows)  # vertices still below degree k
+        getrandbits = rng.getrandbits
         while short or not has_connectivity_at_least(
                 g := Graph.with_rows(n, frozenset(edges), tuple(rows)), k, config.budget):
-            u, v = e = missing.pop(rng.randrange(len(missing)))  # the draw of rng.choice
+            size = len(missing)  # draw as rng.choice(missing) does: rejection on size.bit_length() bits
+            i = getrandbits(width := size.bit_length())
+            while i >= size:
+                i = getrandbits(width)
+            u, v = e = missing.pop(i)
             edges.append(e)
             rows[u] |= 1 << v
             rows[v] |= 1 << u

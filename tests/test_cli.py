@@ -381,10 +381,33 @@ def test_repeated_calls_share_no_state(capsys):
     assert json.loads(other)["report"] != json.loads(json_first)["report"]
 
 
-def test_stdin_input(capsys, monkeypatch):
+def stdin_of(data: bytes):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(PATH3))
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def test_stdin_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_of(PATH3.encode()))
     code, out, _ = run(capsys, ["connectivity"])
     assert code == 0
     assert json.loads(out)["vertex_connectivity"] == 1
+
+
+NOT_UTF8 = b"3 2\n0 1\n\xff\xfe1 2\n"
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, ["feasible", "-i", str(path), "--roots", "b:0,2"])
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: input is not UTF-8: byte 0xff at offset 8\n"
+
+
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+    # A text stdin would hand the parser '\udcff' in place of the byte.
+    monkeypatch.setattr("sys.stdin", stdin_of(NOT_UTF8))
+    code, out, err = run(capsys, ["feasible", "--roots", "b:0,2"])
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: input is not UTF-8: byte 0xff at offset 8\n"

@@ -23,6 +23,7 @@ from linklab.graphs import (
     neighborhood_mask,
     validate_collection,
 )
+from linklab.harness import small_graphs
 from oracles import _components_of, brute_collection_valid, induced_subgraph, neighbourhood
 from strategies import collections_in, graphs, rooted_graphs
 
@@ -43,6 +44,16 @@ class TestGraphType:
     def test_canonicalizes_and_dedups(self):
         g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
         assert g.sorted_edges() == [(0, 2), (1, 2)]
+
+    def test_has_edge_reads_the_edge_set_on_every_small_graph(self):
+        for g in small_graphs(6):
+            n = g.vertex_count
+            for u, v in itertools.product(range(n), repeat=2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+            for bad, good in itertools.product((-1, n), range(n)):
+                for pair in ((bad, good), (good, bad)):
+                    with pytest.raises(InvalidInputError, match="out of range"):
+                        g.has_edge(*pair)
 
     def test_adjacency_symmetry(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -70,8 +81,11 @@ class TestPath:
     def test_validate_needs_edges(self):
         g = Graph.path_graph(3)
         Path([0, 1, 2]).validate_in(g)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="not adjacent"):
             Path([0, 2]).validate_in(g)
+        for v in (-1, 3):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                Path([v]).validate_in(g)
 
 
 class TestNeighborhood:
@@ -105,8 +119,6 @@ class TestComponents:
         # every target of one or two vertices: the part found before the
         # stop lies in the component and covers the target exactly when the
         # whole component does.
-        from linklab.harness import small_graphs
-
         for g in small_graphs(6):
             adj, n = g.adjacency_masks, g.vertex_count
             targets = [mask_of(t) for size in (1, 2) for t in itertools.combinations(range(n), size)]
