@@ -11,9 +11,10 @@ reachability.  For ``m >= 2`` a shortest path that splits the ``a_i`` hands
 over to an exhaustive DFS over induced ``b1``-``b2`` paths with conservative
 prunes.  Either way a ``None`` answer is a proof of infeasibility.
 ``removable_path`` upgrades a linkage path to one whose removal leaves the
-graph connected, by repeatedly absorbing the smallest leftover component;
-the component-size vector increases strictly in lexicographic order at
-every step, which bounds the iteration count.
+graph connected, by repeatedly absorbing the smallest leftover component
+through one BFS detour; the component-size vector increases strictly in
+lexicographic order at every step, which bounds the iteration count.  Every
+search charges the budget's clock: each BFS one tick per dequeued vertex.
 """
 
 from __future__ import annotations
@@ -147,18 +148,14 @@ def _search_linkage(
     return None
 
 
-def _bfs_path(
-    adj: tuple[int, ...], alive: int, start: int, goal: int, clock: BudgetClock | None = None
-) -> list[int] | None:
-    """Deterministic shortest path inside ``alive`` from ``start`` to a
-    different ``goal`` (both endpoints included); ticks ``clock``, when given,
-    once per dequeued vertex."""
+def _bfs_path(adj: tuple[int, ...], alive: int, start: int, goal: int, clock: BudgetClock) -> list[int] | None:
+    """Deterministic shortest path inside ``alive`` from ``start`` to a different
+    ``goal`` (both endpoints included), one ``clock`` tick per dequeued vertex."""
     parent = {start: -1}
     seen = 1 << start
     queue = [start]
     for x in queue:  # the queue grows while it is walked
-        if clock is not None:
-            clock.tick()
+        clock.tick()
         new = adj[x] & alive & ~seen
         if new >> goal & 1:
             out = [goal]
@@ -234,12 +231,13 @@ def two_linkage(
     ``s1, t1`` beside an ``s2``-``t2`` path is the same thing as two disjoint
     paths.  The ``s2``-``t2`` path comes from :func:`find_linkage_pair`, the
     ``s1``-``t1`` path is the shortest one inside the returned ``a_part``.
-    ``budget``, or a clock running since an earlier call, bounds the search.
+    ``budget``, or a clock running since an earlier call, bounds both searches.
     """
-    pair = find_linkage_pair(RootedGraph(g, (s1, t1), s2, t2), budget)
+    clock = clock_of(budget)
+    pair = find_linkage_pair(RootedGraph(g, (s1, t1), s2, t2), clock)
     if pair is None:
         return None
-    first = _bfs_path(g.adjacency_masks, mask_of(pair.a_part), s1, t1)
+    first = _bfs_path(g.adjacency_masks, mask_of(pair.a_part), s1, t1, clock)
     return Path(first), pair.b_path
 
 
@@ -262,30 +260,29 @@ class RemovableReport:
         return self.path is not None
 
 
-def _ordered_components(adj: tuple[int, ...], alive: int, anchor: int) -> list[int]:
-    """Components of ``alive``: the one meeting the ``anchor`` mask first, then
-    by decreasing size and lowest vertex."""
-    return sorted(
-        components_masks(adj, alive),
-        key=lambda c: (not c & anchor, -c.bit_count(), (c & -c).bit_length()),
-    )
-
-
 def removable_path(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> RemovableReport:
     """Find a ``b1``-``b2`` path avoiding the ``a_i`` whose removal leaves the
     graph connected.
 
-    Starting from a linkage path kept induced throughout, each iteration
-    absorbs the smallest leftover component of ``G - B``: its outermost
-    attachments ``u1, u2`` on ``B`` span a maximal interval, some interior
-    vertex of that interval must attach to an earlier component (else there
-    is no legal move and a failure report says so), and the interval is
-    replaced by an induced detour through the absorbed component.  For
-    ``m >= 1``, success is guaranteed on ``(2m+2)``-connected graphs; at
-    ``m = 0`` no connectivity suffices (in ``K_{2,3}`` with ``b1, b2`` on the
-    2-side every path leaves two components).  Without the guarantee the
-    procedure reports the first step with no legal move.  One ``budget``, or a
-    clock running since an earlier call, covers the linkage search and the improvement loop.
+    Starting from the kernel's path ``B``, each step absorbs the smallest
+    leftover component ``last`` of ``G - B``.  Its outermost attachments
+    ``u1 = B[i1]``, ``u2 = B[i2]`` must enclose an interior vertex attached to
+    an earlier component (else no move is legal and a failure report says so),
+    so ``i2 >= i1 + 2``, and ``B[i1..i2]`` is replaced by the BFS shortest
+    ``u1``-``u2`` detour through ``last``.  ``B`` stays induced, so one BFS per
+    step suffices.  It starts induced, as the kernel's paths are.  The kept
+    prefix and suffix share no edge, since ``u1``, ``u2`` are not adjacent.
+    Every neighbour of ``last`` on ``B`` is an attachment, at a position in
+    ``i1..i2``, and those strictly between are dropped, so the detour's
+    interior sees the kept parts only at ``u1`` and ``u2``.  The detour, a
+    shortest path inside ``last`` plus ``u1, u2``, has no chord, and a second
+    edge from ``u1`` or ``u2`` into it would be one.  For ``m >= 1``, success
+    is guaranteed on ``(2m+2)``-connected graphs; at ``m = 0`` no connectivity
+    suffices (in ``K_{2,3}`` with ``b1, b2`` on the 2-side every path leaves
+    two components).  Otherwise the first step with no legal move is reported,
+    and which step that is can depend on the start path.  One ``budget``, or a
+    clock running since an earlier call, covers the kernel, the detours and the
+    loop.
     """
     g = rg.graph
     adj = g.adjacency_masks
@@ -302,7 +299,9 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUST
     while True:
         clock.tick()
         alive = full & ~mask_of(b_path.vertices)
-        comps = _ordered_components(adj, alive, anchor)
+        # The component meeting the anchor first, then by decreasing size and lowest vertex.
+        comps = sorted(components_masks(adj, alive),
+                       key=lambda c: (not c & anchor, -c.bit_count(), (c & -c).bit_length()))
         vec = tuple(c.bit_count() for c in comps)
         if history and not vec > history[-1]:
             return RemovableReport(None, "no-lexicographic-progress", iterations, tuple(history + [vec]))
@@ -322,9 +321,7 @@ def removable_path(rg: RootedGraph, budget: SearchBudget | BudgetClock = EXHAUST
         if not any(adj[u] & alive & ~last for u in b_path.vertices[i1 + 1 : i2]):
             return RemovableReport(None, "no-anchored-interior-vertex", iterations, tuple(history))
 
-        detour = _bfs_path(adj, last | 1 << u1 | 1 << u2, u1, u2)
-        rerouted = Path(b_path.vertices[: i1 + 1] + tuple(detour[1:-1]) + b_path.vertices[i2:])
-        rerouted.validate_in(g)
-        # The shortest path inside the rerouted one is induced.
-        b_path = Path(_bfs_path(adj, mask_of(rerouted.vertices), rg.b1, rg.b2))
+        detour = _bfs_path(adj, last | 1 << u1 | 1 << u2, u1, u2, clock)
+        b_path = Path(b_path.vertices[: i1 + 1] + tuple(detour[1:-1]) + b_path.vertices[i2:])
+        b_path.validate_in(g)
         iterations += 1

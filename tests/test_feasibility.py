@@ -128,7 +128,7 @@ class TestFindLinkagePair:
                     pair.validate(rg)
                     assert not any(g.has_edge(u, v) for i, u in enumerate(path) for v in path[i + 2:])
                 free = ((1 << g.vertex_count) - 1) & ~mask_of(rg.a_set)
-                start = _bfs_path(g.adjacency_masks, free, rg.b1, rg.b2)
+                start = _bfs_path(g.adjacency_masks, free, rg.b1, rg.b2, BudgetClock(EXHAUSTIVE))
                 if start is not None and not _path_is_witness(g, rg.a_set, tuple(start)):
                     assert path == first_induced_witness(rg)
                 else:
@@ -151,7 +151,7 @@ class TestFindLinkagePair:
             g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
             *a_set, b1, b2 = rng.sample(range(n), 4)
             rg = RootedGraph(g, tuple(a_set), b1, b2)
-            start = _bfs_path(g.adjacency_masks, ((1 << n) - 1) & ~mask_of(a_set), b1, b2)
+            start = _bfs_path(g.adjacency_masks, ((1 << n) - 1) & ~mask_of(a_set), b1, b2, BudgetClock(EXHAUSTIVE))
             if start is None or _path_is_witness(g, rg.a_set, tuple(start)):
                 continue
             kept += 1
@@ -237,6 +237,15 @@ class TestTwoLinkage:
         p1, p2 = two_linkage(g, 0, 1, 2, 3)
         assert p1.vertices == (0, 1)
         assert p2.vertices == (2, 3)
+
+    def test_one_clock_covers_both_searches(self):
+        # One dequeue finds the edge 2-3, and one more the edge 0-1 inside the a-part.
+        clock = BudgetClock(EXHAUSTIVE)
+        p1, p2 = two_linkage(Graph.complete(6), 0, 1, 2, 3, clock)
+        assert (p1.vertices, p2.vertices) == ((0, 1), (2, 3))
+        assert clock.ticks == 2
+        with pytest.raises(SearchBudgetExceeded):
+            two_linkage(Graph.complete(6), 0, 1, 2, 3, SearchBudget(max_nodes_expanded=1))
 
     def test_terminals_must_be_distinct(self):
         with pytest.raises(InvalidInputError):

@@ -61,3 +61,20 @@ def test_every_public_search_takes_a_budget_or_a_running_clock():
     }
     assert len(budgets) >= 8
     assert {name: note for name, note in budgets.items() if note != "SearchBudget | BudgetClock"} == {}
+
+
+def test_every_clock_parameter_is_a_required_budget_clock():
+    # A clock is never optional: every search it reaches charges it.
+    clocks = {}
+    for stem, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+                for arg, default in zip(positional + a.kwonlyargs, defaults + a.kw_defaults):
+                    if arg.arg == "clock":
+                        note = ast.unparse(arg.annotation) if arg.annotation else None
+                        clocks[f"{stem}.{node.name}"] = (note, default is not None)
+    assert len(clocks) >= 6
+    assert {name: c for name, c in clocks.items() if c != ("BudgetClock", False)} == {}

@@ -1,9 +1,12 @@
 """Removable paths: postconditions, lexicographic progress, failure modes."""
 
+import pytest
 from hypothesis import given, settings
 
+from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from linklab.connectivity import vertex_connectivity
-from linklab.feasibility import removable_path
+from linklab.errors import SearchBudgetExceeded
+from linklab.feasibility import find_linkage_pair, removable_path
 from linklab.graphs import Graph, RootedGraph
 from oracles import _components_of
 from strategies import rooted_graphs, trigrid
@@ -14,6 +17,9 @@ def check_postconditions(rg, report):
     path = report.path
     path.validate_in(rg.graph)
     assert path.ends == (rg.b1, rg.b2)
+    # Induced: each detour is spliced in without re-inducing the path.
+    vs = path.vertices
+    assert not any(rg.graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 2:])
     assert not set(rg.a_set) & path.vertex_set
     comps = _components_of(rg.graph, set(path.vertex_set))
     assert len(comps) <= 1
@@ -54,32 +60,22 @@ def test_m_zero_instances():
 
 
 def test_budget_propagates():
-    from linklab.errors import SearchBudgetExceeded
-    from linklab.budget import SearchBudget
-
-    import pytest
-
     # Infeasible, and the linkage search alone takes 194 nodes.
     with pytest.raises(SearchBudgetExceeded):
         removable_path(trigrid(4, 5, 6), SearchBudget(max_nodes_expanded=2))
 
 
 def test_one_budget_covers_search_and_improvement():
-    # The linkage DFS takes 4 nodes and the improvement loop 2 (one
-    # iteration), so 6 nodes answer and 5 must not.
-    from linklab.errors import SearchBudgetExceeded
-    from linklab.budget import SearchBudget
-
-    import pytest
-
+    # The linkage search takes 4 dequeues, the improvement loop 2 nodes (one
+    # iteration) and its detour BFS 2 dequeues, so 8 nodes answer and 7 must not.
     g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                              (1, 6), (2, 5), (2, 6), (4, 5)])
     rg = RootedGraph(g, (0,), 1, 2)
-    report = removable_path(rg, SearchBudget(max_nodes_expanded=6))
+    report = removable_path(rg, SearchBudget(max_nodes_expanded=8))
     check_postconditions(rg, report)
     assert report.iterations == 1
     with pytest.raises(SearchBudgetExceeded):
-        removable_path(rg, SearchBudget(max_nodes_expanded=5))
+        removable_path(rg, SearchBudget(max_nodes_expanded=7))
 
 
 def test_low_connectivity_failure_is_reported_not_raised():
@@ -123,22 +119,59 @@ def test_highly_connected_always_succeeds(rg):
         check_postconditions(rg, removable_path(rg))
 
 
-def test_two_improvement_iterations_exactly():
-    # Spine 0..5 with satellites 6, 7 straddling it and the root blob {8}
-    # hanging off vertex 2.  The first absorbed satellite frees vertex 3,
-    # which reattaches the other satellite; the second round frees 2 and 7,
-    # which join the root component.  Hand-checked history.
-    g = Graph.from_edges(
+# Spine 0..5 with satellites 6, 7 straddling it and the root blob {8}
+# hanging off vertex 2.
+TWO_STEPS = RootedGraph(
+    Graph.from_edges(
         9,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
          (1, 6), (2, 6), (3, 6), (2, 7), (3, 7), (4, 7), (2, 8)],
-    )
-    rg = RootedGraph(g, (8,), 0, 5)
+    ),
+    (8,), 0, 5,
+)
+
+
+def test_two_improvement_iterations_exactly():
+    # The first absorbed satellite frees vertex 3, which reattaches the other
+    # satellite; the second round frees 2 and 7, which join the root
+    # component.  Hand-checked history.
+    rg = TWO_STEPS
     report = removable_path(rg)
     check_postconditions(rg, report)
     assert report.iterations == 2
     assert report.component_history == ((1, 1, 1), (1, 2), (3,))
     assert report.path.vertices == (0, 1, 6, 3, 4, 5)
+
+
+def test_every_detour_dequeue_is_a_budget_node():
+    # 7 dequeues find the spine, each of the 3 loop rounds ticks once, and
+    # the detours 2-7-4 and 1-6-3-4 dequeue 2, 7 and 1, 6, 3: 15 nodes in all.
+    clock = BudgetClock(EXHAUSTIVE)
+    report = removable_path(TWO_STEPS, clock)
+    assert clock.ticks == 15
+    for nodes in range(1, 17):
+        if nodes < 15:
+            with pytest.raises(SearchBudgetExceeded):
+                removable_path(TWO_STEPS, SearchBudget(max_nodes_expanded=nodes))
+        else:
+            assert removable_path(TWO_STEPS, SearchBudget(max_nodes_expanded=nodes)) == report
+
+
+def test_failure_can_depend_on_the_start_path():
+    # Below 2m + 2 = 6 (the graph is only 1-connected) the procedure gives no
+    # guarantee.  Its start, the shortest path 6-1-7, strands the pendant
+    # vertex 5 with the single attachment 1, so it stops there, although the
+    # longer path 6-0-3-7 is removable.
+    edges = "0-2 0-3 0-6 1-2 1-3 1-5 1-6 1-7 2-3 2-4 3-4 3-7"
+    g = Graph.from_edges(8, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    rg = RootedGraph(g, (4, 2), 6, 7)
+    assert vertex_connectivity(g) == 1
+    assert find_linkage_pair(rg).b_path.vertices == (6, 1, 7)
+    report = removable_path(rg)
+    assert (report.failure, report.iterations, report.component_history) == (
+        "single-attachment-component", 0, ((4, 1),))
+    assert all(g.has_edge(u, v) for u, v in [(6, 0), (0, 3), (3, 7)])
+    assert _components_of(g, {6, 0, 3, 7}) == [{1, 2, 4, 5}]
 
 
 def test_consecutive_attachment_deadlock_reported():
