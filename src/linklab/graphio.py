@@ -3,6 +3,8 @@
 Edge-list format: a header line ``n m`` followed by ``m`` lines ``u v`` with
 ``0 <= u < v < n``.  graph6 is the standard printable-ASCII encoding, one
 graph per line; the optional ``>>graph6<<`` header is accepted and stripped.
+Both parsers build the adjacency rows as they read, and the graph6 codec
+works on those rows in both directions.
 
 Root tuples are given either as ``a:1,2,3 b:0,4`` (the ``a:`` part may be
 omitted when m = 0) or as JSON ``{"a": [...], "b1": ..., "b2": ...}``.
@@ -12,11 +14,14 @@ from __future__ import annotations
 
 import json
 import re
+from math import isqrt
 
 from .errors import ParseError
 from .graphs import Graph
 
 _G6_HEADER = ">>graph6<<"
+_G6_INVALID = re.compile("[^?-~]")  # graph6 characters run from chr(63) to chr(126)
+_G6_SET = re.compile("[^?]")  # a body character with at least one bit set
 # The characters str.splitlines breaks lines at.
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -83,61 +88,51 @@ def _g6_encode_size(n: int) -> str:
 
 
 def serialize_graph6(g: Graph) -> str:
-    n = g.vertex_count
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i : i + 6]:
-            group = (group << 1) | b
-        chars.append(chr(group + 63))
-    return _g6_encode_size(n) + "".join(chars)
+    """The graph6 string of ``g``, read off its adjacency rows column by column."""
+    n, rows = g.vertex_count, g.adjacency_masks
+    size = _g6_encode_size(n)
+    # Column v of the upper triangle is bit u of row v for u = 0..v-1, top to bottom.
+    bits = "".join(format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return size + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def parse_graph6(text: str) -> Graph:
+    """The graph of a graph6 string, with the adjacency rows set while parsing.  Only body
+    characters with a bit set are visited, so a sparse graph costs about its string's length."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :].strip()
     if not s:
         raise ParseError("empty graph6 string", line=1)
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 character {ch!r}", line=1)
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise ParseError(f"invalid graph6 character {bad.group()!r}", line=1)
     if s[0] == "~":
         if len(s) < 4:
             raise ParseError("truncated graph6 size field", line=1)
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        data = s[4:]
+        n, body = sum((ord(ch) - 63) << shift for ch, shift in zip(s[1:4], (12, 6, 0))), 4
     else:
-        n = ord(s[0]) - 63
-        data = s[1:]
+        n, body = ord(s[0]) - 63, 1
     nbits = n * (n - 1) // 2
-    expected = (nbits + 5) // 6
-    if len(data) != expected:
-        raise ParseError(
-            f"graph6 body for {n} vertices needs {expected} characters, got {len(data)}", line=1
-        )
-    bits = []
-    for ch in data:
-        group = ord(ch) - 63
-        bits.extend((group >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    expected, got = (nbits + 5) // 6, len(s) - body
+    if got != expected:
+        raise ParseError(f"graph6 body for {n} vertices needs {expected} characters, got {got}", line=1)
+    if expected and (ord(s[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 body", line=1)
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    rows, edges = [0] * n, []
+    for char in _G6_SET.finditer(s, body):
+        group, last = ord(char.group()) - 63, 6 * (char.start() - body) + 5
+        while group:  # bit j of the group, counted from the low end, is bit last - j of the triangle
+            low = group & -group
+            group ^= low
+            k = last + 1 - low.bit_length()
+            v = (1 + isqrt(8 * k + 1)) // 2  # column v holds bits v(v-1)/2 .. v(v+1)/2 - 1
+            u = k - v * (v - 1) // 2
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((u, v))
+    return Graph.with_rows(n, frozenset(edges), tuple(rows))
 
 
 def parse_graph(text: str, fmt: str | None = None) -> Graph:

@@ -4,18 +4,17 @@ Campaigns are deterministic functions of their configuration: every trial's
 randomness comes from ``Random(f"{seed}:{trial}")``, and reports serialize
 identically across runs once timing fields are excluded.  Any assertion
 failure embeds the offending instance as graph6 plus its root tuple, which
-is enough to replay it through the CLI.
+is enough to replay it through the CLI.  The exhaustive sweep's small graphs
+come from ``atlas.g6``, package data read by the library's graph6 parser.
 """
 
 from __future__ import annotations
 
-import gzip
-import importlib.util
 import itertools
-import os
 import random
 import time
 from dataclasses import dataclass, field, replace
+from importlib.resources import files
 from typing import Callable, Iterator, Literal
 
 from .budget import EXHAUSTIVE, BudgetClock, SearchBudget
@@ -23,7 +22,7 @@ from .certificates import search_collection, theorem_check
 from .connectivity import has_connectivity_at_least
 from .errors import InvalidInputError, SearchBudgetExceeded
 from .feasibility import _search_linkage, find_linkage_pair, removable_path
-from .graphio import serialize_graph6
+from .graphio import parse_graph6, serialize_graph6
 from .graphs import Graph, RootedGraph, components_masks, mask_of
 from .planarity import find_seymour_certificate
 
@@ -238,25 +237,21 @@ def campaign_removable_path(config: CampaignConfig) -> CampaignReport:
 
 
 def small_graphs(max_n: int, min_n: int = 0) -> Iterator[Graph]:
-    """All non-isomorphic graphs with ``min_n <= n <= max_n`` vertices.
+    """All non-isomorphic graphs with ``min_n <= n <= max_n`` vertices; ``max_n <= 7``.
 
-    Read entry by entry from the atlas networkx ships, without importing networkx; ``max_n <= 7``.
+    Read line by line from ``atlas.g6``, shipped with the package: the 1,253
+    graphs with at most 7 vertices of the Atlas of Graphs (Read and Wilson),
+    as graph6 in atlas order.
     """
     if max_n > 7:
         raise InvalidInputError("small-graph enumeration is available up to 7 vertices")
-    package = importlib.util.find_spec("networkx").submodule_search_locations[0]
-    with gzip.open(os.path.join(package, "generators", "atlas.dat.gz"), "rt") as atlas:
-        n, edges = -1, []  # the entry being read
-        # Entries come by n, on vertices 0..n-1: "GRAPH <index>", "NODES <n>", edges "<u> <v>".
-        for word, arg in map(str.split, itertools.chain(atlas, ["GRAPH end"])):
-            if word == "NODES":
-                n, edges = int(arg), []
-                if n > max_n:
-                    return
-            elif word != "GRAPH":
-                edges.append((int(word), int(arg)))
-            elif n >= max(min_n, 0):
-                yield Graph.from_edges(n, edges)
+    with files(__package__).joinpath("atlas.g6").open(encoding="ascii") as atlas:
+        for line in atlas:
+            g = parse_graph6(line)
+            if g.vertex_count > max_n:
+                return
+            if g.vertex_count >= min_n:
+                yield g
 
 
 def rooted_instances(g: Graph, m: int) -> Iterator[RootedGraph]:

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,6 +342,22 @@ class TestSmallGraphs:
     def test_cap_enforced(self):
         with pytest.raises(Exception):
             list(small_graphs(8))
+
+    def test_the_atlas_needs_no_networkx(self):
+        # The atlas ships with the package, and planarity on at most 7
+        # reduced vertices needs no networkx, so a sweep runs without it.
+        script = "\n".join([
+            "import sys",
+            "sys.modules['networkx'] = None  # import networkx now raises ImportError",
+            "from linklab.harness import CampaignConfig, campaign_exhaustive_small, small_graphs",
+            "print(sum(1 for _ in small_graphs(7)))",
+            "print(campaign_exhaustive_small(CampaignConfig(seed=0, trials=1, n_min=4, n_max=5, m=2)).counts)",
+        ])
+        src = str(Path(linklab.harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["1253", "{'feasible': 412, 'certified': 674, 'failures': 0}"]
 
     @pytest.mark.parametrize("min_n, max_n", [(0, 7), (4, 6), (2, 2), (7, 7), (5, 4)])
     def test_atlas_entries_match_networkx(self, min_n, max_n):

@@ -16,6 +16,7 @@ from linklab.graphio import (
     serialize_graph6,
 )
 from linklab.graphs import Graph
+from linklab.harness import small_graphs
 from strategies import graphs
 
 
@@ -92,10 +93,11 @@ class TestEdgeList:
 
     @given(graphs(max_n=8))
     def test_rows_are_set_while_parsing(self, g):
-        # The parser hands its own rows to the graph; they must be the rows
+        # Each parser hands its own rows to the graph; they must be the rows
         # the edges give.
-        parsed = parse_edge_list(serialize_edge_list(g))
-        assert parsed.adjacency_masks == Graph(g.vertex_count, g.edges).adjacency_masks
+        rows = Graph(g.vertex_count, g.edges).adjacency_masks
+        assert parse_edge_list(serialize_edge_list(g)).adjacency_masks == rows
+        assert parse_graph6(serialize_graph6(g)).adjacency_masks == rows
 
     @given(graphs(max_n=8))
     def test_serialize_idempotent_after_parse(self, g):
@@ -131,9 +133,19 @@ class TestGraph6:
         assert parse_graph6(serialize_graph6(g)) == g
 
     def test_matches_reference_encoder(self):
+        # The atlas and seeded G(n, p) graphs up to n = 140 cover every
+        # padding residue and both sides of the n = 63 size-field switch.
+        import random
+
         import networkx as nx
 
-        for n, edges in [(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), (4, [(0, 1), (2, 3)]), (1, []), (0, [])]:
+        rng = random.Random("g6-reference")
+        cases = [(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), (4, [(0, 1), (2, 3)]), (1, []), (0, [])]
+        cases += [(g.vertex_count, sorted(g.edges)) for g in small_graphs(7)]
+        for n in range(8, 141):
+            p = rng.choice([0.03, 0.2, 0.5, 0.9])
+            cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for n, edges in cases:
             g = Graph.from_edges(n, edges)
             nxg = nx.Graph()
             nxg.add_nodes_from(range(n))
@@ -141,6 +153,25 @@ class TestGraph6:
             ref = nx.to_graph6_bytes(nxg, header=False).decode().strip()
             assert serialize_graph6(g) == ref
             assert parse_graph6(ref) == g
+            back = nx.from_graph6_bytes(serialize_graph6(g).encode())
+            assert (back.number_of_nodes(), {tuple(sorted(e)) for e in back.edges()}) == (n, g.edges)
+
+    def test_sparse_input_costs_about_its_length(self):
+        # The body is not expanded into its n(n-1)/2 bits: the 2 MB graph6 of
+        # a 5,000-cycle parses within a few times its own size, where the
+        # expanded bits alone take about 100 MB.
+        import tracemalloc
+
+        text = serialize_graph6(Graph.cycle(5000))
+        assert len(text) > 2_000_000
+        tracemalloc.start()
+        try:
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == Graph.cycle(5000)
+        assert peak < 16 * 2**20
 
     def test_long_size_encoding(self):
         # n >= 63 switches to the three-character size field.

@@ -78,3 +78,34 @@ def test_every_clock_parameter_is_a_required_budget_clock():
                         clocks[f"{stem}.{node.name}"] = (note, default is not None)
     assert len(clocks) >= 6
     assert {name: c for name, c in clocks.items() if c != ("BudgetClock", False)} == {}
+
+
+def _names_networkx(node: ast.AST) -> bool:
+    """An import of networkx, or a string naming it (``find_spec("networkx")`` reaches it so)."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "networkx" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return not node.level and (node.module or "").split(".")[0] == "networkx"
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "networkx" in node.value
+
+
+def _outside_functions(node: ast.AST):
+    """The nodes below ``node`` that run when it runs: function bodies are skipped."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_only_planarity_names_networkx():
+    naming = {stem for stem, tree in TREES.items() for node in ast.walk(tree) if _names_networkx(node)}
+    assert naming == {"planarity"}
+
+
+def test_planarity_imports_networkx_only_inside_a_function():
+    def imports(nodes):
+        return [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) and _names_networkx(n)]
+
+    tree = TREES["planarity"]
+    assert imports(ast.walk(tree))
+    assert imports(_outside_functions(tree)) == []
