@@ -22,6 +22,7 @@ from .graphs import Graph
 _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile("[^?-~]")  # graph6 characters run from chr(63) to chr(126)
 _G6_SET = re.compile("[^?]")  # a body character with at least one bit set
+_G6_CHARS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))  # 6-bit group -> character
 # The characters str.splitlines breaks lines at.
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -88,13 +89,18 @@ def _g6_encode_size(n: int) -> str:
 
 
 def serialize_graph6(g: Graph) -> str:
-    """The graph6 string of ``g``, read off its adjacency rows column by column."""
+    """The graph6 string of ``g``: each edge sets its bit of the upper triangle, read column
+    by column, in a buffer of 6-bit groups; no string of the n(n-1)/2 bits is built."""
     n, rows = g.vertex_count, g.adjacency_masks
-    size = _g6_encode_size(n)
-    # Column v of the upper triangle is bit u of row v for u = 0..v-1, top to bottom.
-    bits = "".join(format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return size + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for v in range(1, n):
+        column = rows[v] & ((1 << v) - 1)
+        while column:  # bit u of row v, u < v, is bit v(v-1)/2 + u of the triangle
+            low = column & -column
+            column ^= low
+            k = v * (v - 1) // 2 + low.bit_length() - 1
+            body[k // 6] |= 32 >> k % 6
+    return _g6_encode_size(n) + body.translate(_G6_CHARS).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -191,12 +197,16 @@ def parse_roots(text: str) -> tuple[tuple[int, ...], int, int]:
         if any(type(v) is not int for v in (*a, obj["b1"], obj["b2"])):
             raise ParseError(f"non-integer vertex id in JSON root tuple {s!r}")
         return tuple(a), obj["b1"], obj["b2"]
-    a: tuple[int, ...] = ()
+    a: tuple[int, ...] | None = None
     b: tuple[int, ...] | None = None
     for token in s.split():
         if token.startswith("a:"):
+            if a is not None:
+                raise ParseError(f"repeated root token 'a:' in {s!r}")
             a = parse_vertex_list(token[2:])
         elif token.startswith("b:"):
+            if b is not None:
+                raise ParseError(f"repeated root token 'b:' in {s!r}")
             b = parse_vertex_list(token[2:])
             if len(b) != 2:
                 raise ParseError(f"expected b:<b1>,<b2>, got {token!r}")
@@ -204,4 +214,4 @@ def parse_roots(text: str) -> tuple[tuple[int, ...], int, int]:
             raise ParseError(f"unrecognized root token {token!r}")
     if b is None:
         raise ParseError("root tuple must include b:<b1>,<b2>")
-    return a, b[0], b[1]
+    return a or (), b[0], b[1]

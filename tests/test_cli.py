@@ -121,7 +121,7 @@ def test_disc_planar_subcommand(tmp_path, capsys):
 
 def test_disc_planar_petersen(tmp_path, capsys):
     # 10 vertices of degree 3 and 15 <= 3n - 6 edges: no reduction or count
-    # decides it, so the answer comes from networkx.
+    # decides it, so the answer comes from path addition.
     edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     path = write(tmp_path, "10 15\n" + "".join(f"{min(e)} {max(e)}\n" for e in edges))

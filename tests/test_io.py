@@ -173,6 +173,23 @@ class TestGraph6:
         assert g == Graph.cycle(5000)
         assert peak < 16 * 2**20
 
+    def test_serialize_costs_about_its_length(self):
+        # Each edge sets its bit in a buffer of 6-bit groups; the 1.3 MB
+        # string of a 4,000-cycle is never spelled out as 8 million bits.
+        import tracemalloc
+
+        g = Graph.cycle(4000)
+        g.adjacency_masks
+        tracemalloc.start()
+        try:
+            text = serialize_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 4 + (4000 * 3999 // 2 + 5) // 6
+        assert parse_graph6(text) == g
+        assert peak < 8 * 2**20
+
     def test_long_size_encoding(self):
         # n >= 63 switches to the three-character size field.
         import random
@@ -236,6 +253,20 @@ class TestRoots:
             parse_roots("a:1")
         with pytest.raises(ParseError):
             parse_roots('{"a": [], "b1": 0}')
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("a:1,2 a:3 b:0,4", "a:"),
+            ("b:0,4 b:5,6", "b:"),
+            ("a: b:0,4 a:", "a:"),
+            ("b:0,4 a:1 b:0,4", "b:"),
+        ],
+    )
+    def test_repeated_token(self, text, token):
+        # A second a: or b: would silently override the first.
+        with pytest.raises(ParseError, match=f"repeated root token '{token}'"):
+            parse_roots(text)
 
     @pytest.mark.parametrize(
         "text",

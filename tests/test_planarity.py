@@ -1,7 +1,12 @@
 """Planarity, disc planarity, and the planar infeasibility certificate."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -13,6 +18,7 @@ import linklab.planarity
 from linklab.certificates import iter_collections
 from linklab.errors import InvalidCollectionError, InvalidInputError
 from linklab.feasibility import is_feasible
+from linklab.graphio import serialize_graph
 from linklab.graphs import Collection, Graph, RootedGraph, bits_of, contract_masks
 from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
@@ -24,7 +30,7 @@ from linklab.planarity import (
     seymour_edge_bound,
 )
 from oracles import brute_seymour_certificate, rotation_system_is_planar
-from strategies import graphs
+from strategies import graphs, trigrid
 
 
 def k33() -> Graph:
@@ -84,6 +90,14 @@ def cube() -> Graph:
                                 (0, 4), (1, 5), (2, 6), (3, 7)])
 
 
+def count_path_additions(monkeypatch) -> list:
+    """A list that gets one entry per call into ``planarity._path_addition``."""
+    calls = []
+    add = linklab.planarity._path_addition
+    monkeypatch.setattr(linklab.planarity, "_path_addition", lambda *a: calls.append(a) or add(*a))
+    return calls
+
+
 def test_is_planar_matches_oracles_exhaustively():
     # Every graph with n <= 7, alone and with an apex joined to every vertex,
     # against networkx and the rotation-system search, plus one seeded
@@ -109,10 +123,11 @@ class TestIsPlanar:
         assert not is_planar(k33())
         assert is_planar(octahedron())
 
-    # Each id names the branch that decides the graph; only the last two,
-    # which keep at least 8 vertices after the reductions, reach networkx.
+    # Each id names the branch that decides the graph; the last five keep at
+    # least 7 vertices, in one component, after the reductions and go to
+    # path addition once.  None reaches networkx.
     @pytest.mark.parametrize(
-        "g, planar, networkx_calls",
+        "g, planar, path_additions",
         [
             pytest.param(Graph.complete(5), False, 0, id="K5-edge-bound"),
             pytest.param(k33(), False, 0, id="K33-bipartition"),
@@ -123,21 +138,20 @@ class TestIsPlanar:
             pytest.param(k33_with_pendant_path_and_long_edge(), False, 0,
                          id="K33-with-paths-reduced-to-K33-bipartition"),
             pytest.param(triangular_prism(), True, 0, id="prism-no-bipartition"),
-            pytest.param(k33_chord_on_subdivision(), False, 0,
-                         id="K33-subdivided-chord-n7-contraction"),
-            pytest.param(k5_two_subdivisions_with_chords(), False, 0,
-                         id="K5-two-subdivisions-chords-n7-contraction"),
-            pytest.param(pentagonal_bipyramid(), True, 0, id="bipyramid-n7-every-contraction-planar"),
-            pytest.param(cube(), True, 1, id="cube-n8-networkx"),
-            pytest.param(petersen(), False, 1, id="petersen-reduced-n10-networkx"),
+            pytest.param(k33_chord_on_subdivision(), False, 1,
+                         id="K33-subdivided-chord-n7-path-addition"),
+            pytest.param(k5_two_subdivisions_with_chords(), False, 1,
+                         id="K5-two-subdivisions-chords-n7-path-addition"),
+            pytest.param(pentagonal_bipyramid(), True, 1, id="bipyramid-n7-every-contraction-planar"),
+            pytest.param(cube(), True, 1, id="cube-n8-path-addition"),
+            pytest.param(petersen(), False, 1, id="petersen-reduced-n10-path-addition"),
         ],
     )
-    def test_branches(self, g, planar, networkx_calls, monkeypatch):
-        calls = []
-        check = nx.check_planarity
-        monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k))
+    def test_branches(self, g, planar, path_additions, monkeypatch):
+        calls, nx_calls = count_path_additions(monkeypatch), []
+        monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: nx_calls.append(a))
         assert is_planar(g) == planar
-        assert len(calls) == networkx_calls
+        assert (len(calls), nx_calls) == (path_additions, [])
 
     def test_matches_oracles_on_random_graphs_8_to_10(self):
         # Seeded graphs with 8-10 vertices, some of which reduce to 7, against
@@ -155,10 +169,64 @@ class TestIsPlanar:
             if n == 8:
                 assert rotation_system_is_planar(g) == expected, g
 
+    def test_matches_networkx_on_graphs_8_to_40(self, monkeypatch):
+        # Seeded sparse G(n, p) graphs with 8-40 vertices, near the density
+        # where planarity fails, and relabelled triangulated grids of 3-6 x
+        # 3-6 with about 20% of their edges dropped and 0-2 random edges
+        # added, against networkx.  A grid stays planar unless an added edge
+        # crosses it, so path addition embeds most of it before it answers.
+        rng = random.Random(2032)
+        cases = []
+        for _ in range(800):
+            n = rng.randint(8, 40)
+            p = rng.uniform(1.5, 4.0) / n
+            cases.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                              if rng.random() < p]))
+        for _ in range(800):
+            grid = trigrid(rng.randint(3, 6), rng.randint(3, 6), 0).graph
+            n = grid.vertex_count
+            edges = {e for e in grid.edges if rng.random() >= 0.2}
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2))}
+            perm = rng.sample(range(n), n)
+            cases.append(Graph.from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+        calls = count_path_additions(monkeypatch)
+        verdicts = []
+        for g in cases:
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(g.vertex_count))
+            verdicts.append(nx.check_planarity(nxg, counterexample=False)[0])
+            assert is_planar(g) == verdicts[-1], g
+        assert verdicts.count(False) > 400 and verdicts.count(True) > 1000
+        assert len(calls) > 1000
+
     @given(graphs(max_n=7))
     @settings(max_examples=150)
     def test_matches_rotation_search(self, g):
         assert is_planar(g) == rotation_system_is_planar(g)
+
+    def test_decides_below_the_cut_over_without_networkx(self, tmp_path):
+        # Path addition decides up to 40 reduced vertices, so the cube, the
+        # Petersen graph and a disc test on a 30-vertex grid need no networkx.
+        grid = tmp_path / "grid.txt"
+        grid.write_text(serialize_graph(trigrid(5, 6, 0).graph))
+        script = "\n".join([
+            "import sys",
+            "sys.modules['networkx'] = None  # import networkx now raises ImportError",
+            "from linklab.cli import cli_main",
+            "from linklab.graphs import Graph",
+            "from linklab.planarity import is_planar",
+            f"print(is_planar(Graph.from_edges(8, {sorted(cube().edges)})))",
+            f"print(is_planar(Graph.from_edges(10, {sorted(petersen().edges)})))",
+            f"sys.exit(cli_main(['disc-planar', '-i', {str(grid)!r}, '--boundary', '0,5,29,24']))",
+        ])
+        src = str(Path(linklab.planarity.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[:2] == ["True", "False"]
+        assert json.loads(lines[2]) == {"schema_version": 1, "command": "disc-planar",
+                                        "boundary": [0, 5, 29, 24], "disc_planar": True}
 
 
 class TestIsDiscPlanar:
@@ -200,6 +268,21 @@ class TestIsDiscPlanar:
         boundary = data.draw(st.permutations(range(g.vertex_count)).map(lambda p: p[:size]))
         if is_disc_planar(DiscInstance(g, boundary)):
             assert is_planar(g)
+
+    @pytest.mark.parametrize("r, c", [(3, 3), (3, 5), (4, 4), (5, 6), (6, 6)])
+    def test_trigrid_corners(self, r, c):
+        # A triangulated grid's corners lie on its outer face in the order
+        # top-left, top-right, bottom-right, bottom-left.  An edge joining two
+        # opposite corners keeps the grid planar but must cross it inside the
+        # disc.  With the apex these graphs reach 10-37 vertices.
+        g = trigrid(r, c, 0).graph
+        n = g.vertex_count
+        corners = (0, c - 1, n - 1, n - c)
+        assert is_disc_planar(DiscInstance(g, corners))
+        assert not is_disc_planar(DiscInstance(g, (0, n - 1, c - 1, n - c)))
+        crossed = Graph.from_edges(n, [*g.edges, (0, n - 1)])
+        assert is_planar(crossed)
+        assert not is_disc_planar(DiscInstance(crossed, corners))
 
     def test_planar_does_not_imply_disc_planar(self):
         # Octahedron antipodes never share a face: planar, yet no disc
