@@ -182,9 +182,15 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | BudgetClock = EXHAUSTIV
         return 0
     adj = g.adjacency_masks
     degrees = list(map(int.bit_count, adj))
-    v = degrees.index(min(degrees))
-    best = min(n - 1, degrees[v], n if cap is None else cap)
-    clock = clock_of(budget)
+    return _capped_connectivity(adj, degrees.index(min(degrees)), n if cap is None else cap,
+                                clock_of(budget))
+
+
+def _capped_connectivity(adj: tuple[int, ...], v: int, cap: int, clock: BudgetClock) -> int:
+    """:func:`vertex_connectivity` capped at ``cap`` on rows ``adj`` of at least 2
+    vertices, ``v`` the lowest-numbered vertex of minimum degree."""
+    n = len(adj)
+    best = min(n - 1, adj[v].bit_count(), cap)
     non_neighbours = ((v, t) for t in range(n) if t != v and not adj[v] >> t & 1)
     # Drawn lazily: each neighbour x of v pairs with the neighbours of v above x it misses.
     neighbour_pairs = ((x, y) for x in bits_of(adj[v])
@@ -194,6 +200,13 @@ def vertex_connectivity(g: Graph, budget: SearchBudget | BudgetClock = EXHAUSTIV
 
 def has_connectivity_at_least(g: Graph, k: int, budget: SearchBudget | BudgetClock = EXHAUSTIVE) -> bool:
     """``vertex_connectivity(g) >= k``: false with no flow when ``n <= k`` or the
-    minimum degree is below ``k``, and otherwise settled by flows capped at ``k``."""
-    return k <= 0 or (g.vertex_count > k and min(map(int.bit_count, g.adjacency_masks)) >= k
-                      and vertex_connectivity(g, budget, k) >= k)
+    minimum degree is below ``k``, and otherwise settled by flows capped at ``k``
+    around the vertex that degree count found."""
+    if k <= 0:
+        return True
+    if g.vertex_count <= k:
+        return False
+    adj = g.adjacency_masks
+    degrees = list(map(int.bit_count, adj))
+    d = min(degrees)
+    return d >= k and _capped_connectivity(adj, degrees.index(d), k, clock_of(budget)) >= k

@@ -51,7 +51,6 @@ def parse_edge_list(text: str) -> Graph:
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but {len(body)} edge lines found", line=at)
     rows = [0] * n
-    edges = []
     for lineno, ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -70,8 +69,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"duplicate edge {u} {v}", line=lineno)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        edges.append((u, v))
-    return Graph.with_rows(n, frozenset(edges), tuple(rows))
+    return Graph.with_rows(n, tuple(rows))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -126,7 +124,7 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"graph6 body for {n} vertices needs {expected} characters, got {got}", line=1)
     if expected and (ord(s[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 body", line=1)
-    rows, edges = [0] * n, []
+    rows = [0] * n
     for char in _G6_SET.finditer(s, body):
         group, last = ord(char.group()) - 63, 6 * (char.start() - body) + 5
         while group:  # bit j of the group, counted from the low end, is bit last - j of the triangle
@@ -137,8 +135,7 @@ def parse_graph6(text: str) -> Graph:
             u = k - v * (v - 1) // 2
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            edges.append((u, v))
-    return Graph.with_rows(n, frozenset(edges), tuple(rows))
+    return Graph.with_rows(n, tuple(rows))
 
 
 def parse_graph(text: str, fmt: str | None = None) -> Graph:

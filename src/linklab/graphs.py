@@ -4,16 +4,23 @@ Everything here is an immutable value: graphs, rooted graphs, vertex-set
 collections and paths are all frozen after construction, and every operation
 is a pure function.  Vertex ids are dense integers ``0..n-1``.
 
-Algorithms read adjacency bitmasks (``Graph.adjacency_masks``) and vertex
-sets as masks.  The contraction is the heart of the module:
-``contract_masks`` deletes each member of a family and ORs a clique on its
-neighborhood into the surviving adjacency rows, and ``augment_masks`` also
-joins every root pair except ``(b1, b2)``.  Certificate checks count these
-rows, and the planar certificate tests disc planarity on them.  A family
-is a list of ``(member, neighborhood)`` mask pairs, validated once, at the
-boundary: :func:`validate_collection` turns an outside ``Collection`` into
-one and the certificate searches enumerate valid ones, so the mask
-operators check nothing.
+A ``Graph`` is its vertex count and its adjacency bitmasks
+(``Graph.adjacency_masks``), and nothing else: the edge tuples, the edge
+count and the sorted edge list are derived from those rows, and equality
+and hash are on them.  ``Graph(n, edges)`` and the named graphs check every
+edge they are given; :meth:`Graph.with_rows` checks nothing, for the parsers,
+the generator and the contraction, which build rows that are valid by
+construction.
+
+Algorithms read the rows, and vertex sets as masks.  The contraction is the
+heart of the module: ``contract_masks`` deletes each member of a family and
+ORs a clique on its neighborhood into the surviving adjacency rows, and
+``augment_masks`` also joins every root pair except ``(b1, b2)``.
+Certificate checks count these rows, and the planar certificate tests disc
+planarity on them.  A family is a list of ``(member, neighborhood)`` mask
+pairs, validated once, at the boundary: :func:`validate_collection` turns an
+outside ``Collection`` into one and the certificate searches enumerate valid
+ones, so the mask operators check nothing.
 """
 
 from __future__ import annotations
@@ -26,24 +33,30 @@ from typing import Iterable
 from .errors import InvalidCollectionError, InvalidInputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """A simple undirected graph on vertices ``0..vertex_count-1``.
+    """A simple undirected graph on vertices ``0..vertex_count-1``, held as its
+    adjacency rows: bit ``v`` of ``adjacency_masks[u]`` is set exactly when ``u v``
+    is an edge.  Equality and hash are on the vertex count and the rows.
 
-    Edges are canonical ``(u, v)`` tuples with ``u < v``.  Self-loops and
-    duplicate edges are rejected at construction time.
+    ``Graph(n, edges)`` takes canonical ``(u, v)`` tuples with ``u < v`` and
+    rejects any other; :meth:`with_rows` takes rows from a caller that made them.
     """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    adjacency_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
-        if n < 0:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        if vertex_count < 0:
             raise InvalidInputError("vertex_count must be non-negative")
-        for u, v in self.edges:
-            if not 0 <= u < v < n:
+        rows = [0] * vertex_count
+        for u, v in edges:
+            if not 0 <= u < v < vertex_count:
                 raise InvalidInputError(f"edge ({u}, {v}) is not canonical or out of range")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "adjacency_masks", tuple(rows))
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -56,12 +69,12 @@ class Graph:
         return cls(vertex_count, frozenset(canon))
 
     @classmethod
-    def with_rows(cls, vertex_count: int, edges: frozenset[tuple[int, int]], rows: tuple[int, ...]) -> "Graph":
-        """The graph on these canonical edges, checked as always, with ``rows`` as its
-        :attr:`adjacency_masks` in place of rows rebuilt from the edges.  The caller
-        vouches that ``rows`` are the rows these edges give."""
-        g = cls(vertex_count, edges)
-        g.__dict__["adjacency_masks"] = rows  # where cached_property keeps its value
+    def with_rows(cls, vertex_count: int, rows: tuple[int, ...]) -> "Graph":
+        """The graph with these adjacency rows, unchecked: the caller vouches that
+        there are ``vertex_count`` of them, symmetric, with no bit ``v`` in row ``v``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "adjacency_masks", rows)
         return g
 
     @classmethod
@@ -80,16 +93,12 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.adjacency_masks)) // 2
 
     @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks; the workhorse for search code."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as canonical ``(u, v)`` tuples, derived from the rows once."""
+        return frozenset(self.sorted_edges())
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -97,7 +106,11 @@ class Graph:
         return self.adjacency_masks[u] >> v & 1 == 1
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The canonical edges in increasing order, read off each row's bits above its vertex."""
+        out = []
+        for u, row in enumerate(self.adjacency_masks):
+            out.extend((u, v) for v in bits_of(row >> (u + 1) << (u + 1)))
+        return out
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -359,10 +372,8 @@ def _graph_of_rows(rows: dict[int, int]) -> tuple[Graph, dict[int, int]]:
     """The graph on dense ids with the given adjacency rows, plus the map from
     row keys to new ids."""
     relabel = {v: i for i, v in enumerate(rows)}
-    edges = frozenset(
-        (relabel[v], relabel[w]) for v, row in rows.items() for w in bits_of(row) if w > v
-    )
-    return Graph(len(relabel), edges), relabel
+    dense = tuple(mask_of(relabel[w] for w in bits_of(row)) for row in rows.values())
+    return Graph.with_rows(len(relabel), dense), relabel
 
 
 def contract_collection(g: Graph, x: Collection) -> tuple[Graph, dict[int, int]]:

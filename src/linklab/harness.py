@@ -131,32 +131,31 @@ def gen_random_rooted(config: CampaignConfig, trial: int) -> RootedGraph:
     rng = random.Random(f"{config.seed}:{trial}")
     n = rng.randint(config.n_min, config.n_max)
     draw, p = rng.random, config.p
-    edges, missing = [], []
-    for e in itertools.combinations(range(n), 2):  # canonical edges, ascending
-        (edges if draw() < p else missing).append(e)
+    rows, missing = [0] * n, []  # the adjacency masks, and the canonical non-edges ascending
+    for e in itertools.combinations(range(n), 2):
+        if draw() < p:
+            u, v = e
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            missing.append(e)
     if config.model == "kconn":
         k = config.filter_k
         if n <= k:
             raise GenerationError(f"no graph on {n} vertices is {k}-connected")
-        rows = [0] * n  # the adjacency masks, kept up to date and handed to each graph checked
-        for u, v in edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
         short = sum(row.bit_count() < k for row in rows)  # vertices still below degree k
         getrandbits = rng.getrandbits
-        while short or not has_connectivity_at_least(
-                g := Graph.with_rows(n, frozenset(edges), tuple(rows)), k, config.budget):
+        while short or not has_connectivity_at_least(g := Graph.with_rows(n, tuple(rows)), k, config.budget):
             size = len(missing)  # draw as rng.choice(missing) does: rejection on size.bit_length() bits
             i = getrandbits(width := size.bit_length())
             while i >= size:
                 i = getrandbits(width)
-            u, v = e = missing.pop(i)
-            edges.append(e)
+            u, v = missing.pop(i)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
             short -= (rows[u].bit_count() == k) + (rows[v].bit_count() == k)
     else:
-        g = Graph(n, frozenset(edges))
+        g = Graph.with_rows(n, tuple(rows))
     picks = rng.sample(range(n), config.m + 2)
     return RootedGraph(g, tuple(picks[: config.m]), picks[config.m], picks[config.m + 1])
 

@@ -139,7 +139,8 @@ def _path_addition(rows: dict[int, int], comp: int) -> bool:
         h_rows[a] |= 1 << b
         h_rows[b] |= 1 << a
     faces, masks = [cycle, cycle[::-1]], [h, h]
-    while True:
+    # Each step embeds at least one edge, so a step beyond the edge count is a bug.
+    for _ in range(sum(rows[v].bit_count() for v in bits_of(comp)) // 2):
         # Fragments as (attachments, vertices): each chord of H, with no
         # vertices of its own, and each component of G - V(H).
         fragments = []
@@ -214,6 +215,7 @@ def _path_addition(rows: dict[int, int], comp: int) -> bool:
         faces[i], masks[i] = turn[:k + 1] + inner[::-1], mask_of(turn[:k + 1]) | inner_mask
         faces.append(turn[k:] + [u] + inner)
         masks.append(mask_of(turn[k:]) | 1 << u | inner_mask)
+    raise AssertionError("path addition took more steps than the component has edges")
 
 
 def _is_disc_planar_rows(rows: dict[int, int], boundary: tuple[int, ...]) -> bool:

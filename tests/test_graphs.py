@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from linklab.errors import InvalidCollectionError, InvalidInputError
+from linklab.graphio import parse_edge_list, parse_graph6, serialize_edge_list, serialize_graph6
 from linklab.graphs import (
     Collection,
     Graph,
@@ -54,6 +56,47 @@ class TestGraphType:
                 for pair in ((bad, good), (good, bad)):
                     with pytest.raises(InvalidInputError, match="out of range"):
                         g.has_edge(*pair)
+
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(InvalidInputError, match="vertex_count must be non-negative"):
+            Graph(-1)
+
+    def test_every_constructor_gives_the_same_graph(self):
+        # The atlas and seeded G(n, p) graphs up to n = 140: the validating
+        # constructors, both parsers and the trusted row builder give equal
+        # graphs with the same hash, edges, counts and serialized text.
+        rng = random.Random("constructors")
+        cases = [(g.vertex_count, sorted(g.edges)) for g in small_graphs(7)]
+        for n in range(8, 141, 3):
+            p = rng.choice([0.03, 0.2, 0.5, 0.9])
+            cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for n, edges in cases:
+            rows = [0] * n
+            for u, v in edges:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            text = "".join(f"{u} {v}\n" for u, v in edges)
+            built = [
+                Graph(n, frozenset(edges)),
+                Graph.from_edges(n, [(v, u) if (u + v) % 2 else (u, v) for u, v in reversed(edges)]),
+                Graph.with_rows(n, tuple(rows)),
+            ]
+            built += [parse_edge_list(f"{n} {len(edges)}\n{text}"), parse_graph6(serialize_graph6(built[0]))]
+            for g in built:
+                assert g == built[0] and hash(g) == hash(built[0])
+                assert (g.vertex_count, g.adjacency_masks) == (n, tuple(rows))
+                assert g.edges == frozenset(edges)
+                assert g.sorted_edges() == edges
+                assert g.edge_count == len(edges)
+                assert serialize_edge_list(g) == f"{n} {len(edges)}\n{text}"
+                assert serialize_graph6(g) == serialize_graph6(built[0])
+
+    def test_edges_are_derived_and_read_only(self):
+        g = Graph.with_rows(3, (0b110, 0b001, 0b001))
+        assert g.edges == frozenset({(0, 1), (0, 2)})
+        assert g.edges is g.edges
+        with pytest.raises(AttributeError):
+            g.edges = frozenset()
 
     def test_adjacency_symmetry(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

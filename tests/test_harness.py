@@ -1,5 +1,6 @@
 """Instance generation determinism, campaign reports, small-graph enumeration."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ import linklab.harness
 from linklab.connectivity import has_connectivity_at_least, vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import find_linkage_pair
-from linklab.graphio import parse_graph6
+from linklab.graphio import parse_graph6, serialize_graph6
 from linklab.graphs import Graph, RootedGraph
 from linklab.harness import (
     CampaignConfig,
@@ -107,6 +108,29 @@ class TestGeneration:
         c = config(k=0, n_min=8, n_max=12, p=0.3)
         for t in range(4):
             assert gen_random_rooted(c, t) == filter_every_step(c, t)
+
+    def test_instances_are_pinned(self):
+        # A digest of the generator's instances: kconn at both fuzz settings
+        # and with p = 0 (generation errors included), G(n, p) up to n = 70
+        # and the complete graph at p = 1.  A change to the RNG stream or to
+        # the rows changes it, so no change moves the instances unnoticed.
+        configs = [
+            config(seed=1, trials=20, n_min=14, n_max=18, m=2, p=0.3),
+            config(seed=2, trials=20, n_min=18, n_max=22, m=4, p=0.35),
+            config(seed=3, trials=20, n_min=4, n_max=12, m=1, p=0.0),
+            config(seed=4, trials=20, n_min=8, n_max=70, m=2, model="gnp", p=0.5),
+            config(seed=5, trials=20, n_min=2, n_max=9, m=0, model="gnp", p=1.0),
+        ]
+        digest = hashlib.sha256()
+        for c in configs:
+            for t in range(c.trials):
+                try:
+                    rg = gen_random_rooted(c, t)
+                except GenerationError as exc:
+                    digest.update(f"{exc}\n".encode())
+                    continue
+                digest.update(repr((serialize_graph6(rg.graph), rg.a_set, rg.b1, rg.b2)).encode() + b"\n")
+        assert digest.hexdigest() == "2be85b0e3f724e9ede79903a20b3e132945e6e89c4ba09551c486fbbc80e8317"
 
     def test_degree_gate_keeps_the_generation_error(self):
         c = config(m=2, n_min=4, n_max=6)

@@ -173,6 +173,22 @@ class TestGraph6:
         assert g == Graph.cycle(5000)
         assert peak < 16 * 2**20
 
+    def test_dense_input_costs_about_its_rows(self):
+        # Each set bit goes into two adjacency rows and no edge tuple is kept:
+        # the 19,900 edges of K_200 parse within 256 KB, where a set of their
+        # tuples alone takes over 3 MB.
+        import tracemalloc
+
+        text = serialize_graph6(Graph.complete(200))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == Graph.complete(200)
+        assert peak < 2**18
+
     def test_serialize_costs_about_its_length(self):
         # Each edge sets its bit in a buffer of 6-bit groups; the 1.3 MB
         # string of a 4,000-cycle is never spelled out as 8 million bits.
