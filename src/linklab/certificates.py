@@ -10,27 +10,11 @@ Two certificate flavors share one report shape:
   ``e <= (m+2) v - m^2/2 - 5m/2 - 3 - |U|``.
 
 All bound arithmetic is done in doubled integers so the half-integer terms
-stay exact.  ``search_collection`` is an exhaustive family search over
-connected candidate members: splitting a member into its components never
-weakens a certificate, so the restriction loses nothing.
-
-The candidates are enumerated by branching on their boundary (as for
-connected sets with a bounded neighborhood in Fomin and Villanger,
-*Treewidth computation and extremal combinatorics*, 2012).  A member ``C``
-grows from its lowest vertex ``v``; forbidden vertices and allowed vertices
-below ``v`` that touch ``C`` are committed to the boundary ``X`` at once,
-and the lowest undecided neighbor of ``C`` either joins ``C`` or joins
-``X``.  A branch dies once ``|X| > cap``.  This is exact: for a qualifying
-``C`` the path that puts exactly ``C`` in and ``N(C)`` out is never pruned,
-since ``|N(C)| <= cap``, and it ends at ``C``; conversely every recorded set
-is connected, avoids the forbidden set and has ``N(C) = X``.  Distinct paths
-disagree on some vertex, so no set is recorded twice.  Once ``|X| = cap``
-every other neighbor must join ``C``, so ``C`` grows from itself through
-vertices outside ``X``.  Its neighborhood holds ``X`` throughout and
-equals it unless the growth reaches a barred vertex (forbidden, or allowed
-below ``v``), where ``C`` is dropped.  At most ``cap`` branch vertices
-join ``X`` on a path, so the enumeration is polynomial for a fixed cap.
-Each branch node is one budget tick, charged in chunks (see ``budget``).
+stay exact.  ``search_collection`` tests the families of
+:func:`graphs.iter_collections`, whose members are connected: splitting a
+member into its components never weakens a certificate, so the restriction
+loses nothing.  How the candidates are enumerated, and why that is exact, is
+written beside the enumeration in ``graphs``.
 """
 
 from __future__ import annotations
@@ -50,8 +34,8 @@ from .graphs import (
     bits_of,
     component_mask,
     components_masks,
+    iter_collections,
     mask_of,
-    neighborhood_mask,
     pinned_set,
     validate_collection,
 )
@@ -203,84 +187,6 @@ def critical_base_collection(rg: RootedGraph, u_set: Iterable[int]) -> Collectio
     removed = mask_of(u_set | {rg.b1, rg.b2})
     alive = ((1 << g.vertex_count) - 1) & ~removed
     return Collection(frozenset(bits_of(c)) for c in components_masks(g.adjacency_masks, alive))
-
-
-def _candidate_members(
-    g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock
-) -> list[tuple[int, int]]:
-    """All connected vertex sets avoiding ``forbidden`` with at most ``cap``
-    neighbors, as ``(member, neighborhood)`` mask pairs in (size,
-    lexicographic) order of the members.
-
-    Each member ``C`` grows from its lowest vertex ``v`` by branching on
-    its boundary (see the module docstring).  A frame holds ``C``, ``N(C)``
-    and the committed part ``X`` of ``N(C)``.  At ``|X| = cap`` the member
-    grows from ``C`` through vertices outside ``X`` and is dropped at the
-    first barred vertex it reaches.  Every frame is one tick of ``clock``,
-    charged in chunks (see ``budget``)."""
-    adj = g.adjacency_masks
-    allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
-    found = []
-    chunk = left = clock.room()  # nodes the clock takes before it must look
-    for v in bits_of(allowed):
-        barred = ~allowed | ((1 << v) - 1)  # never in a member whose lowest vertex is v
-        stack = [(1 << v, adj[v], adj[v] & barred)]
-        while stack:
-            member, nbhd, committed = stack.pop()
-            left -= 1
-            if left < 0:  # this node's tick raises or reads the deadline
-                chunk = left = clock.charge(chunk)
-            size = committed.bit_count()
-            if size > cap:
-                continue
-            undecided = nbhd & ~committed
-            if not undecided:
-                found.append((member, nbhd))
-            elif size == cap:
-                comp, frontier = member, undecided
-                while frontier and not frontier & barred:
-                    comp |= frontier
-                    frontier = neighborhood_mask(adj, frontier) & ~(comp | committed)
-                if not frontier:
-                    found.append((comp, committed))
-            else:
-                low = undecided & -undecided
-                grown = member | low
-                grown_nbhd = (nbhd | adj[low.bit_length() - 1]) & ~grown
-                stack.append((member, nbhd, committed | low))
-                stack.append((grown, grown_nbhd, committed | grown_nbhd & barred))
-    clock.spend(chunk - left)
-    return sorted(found, key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
-
-
-def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock):
-    """Every collection of connected members avoiding ``forbidden`` whose
-    neighborhoods have at most ``cap`` vertices, in canonical depth-first
-    order with the empty collection first, each as the tuple of mask pairs
-    :func:`validate_collection` would return for it.  It ticks ``clock`` once
-    per family as it yields it (the empty one before the enumeration), per
-    branch node of the candidate enumeration and per compatibility row."""
-    clock.tick()
-    yield ()
-    pairs = _candidate_members(g, forbidden, cap, clock)
-    compatible = []
-    for member, nbhd in pairs:
-        clock.tick()
-        # Bit j of row i: neither member meets the other's closed
-        # neighborhood; the relation is symmetric, so one test suffices.
-        compatible.append(mask_of(j for j, (other, _) in enumerate(pairs) if not (member | nbhd) & other))
-    # A frame is a family and the mask of the later candidates that can still join
-    # it.  The lowest one joins first; its frame waits below, without it.
-    stack = [((), (1 << len(pairs)) - 1)]
-    while stack:
-        family, joinable = stack.pop()
-        if joinable:
-            i = (joinable & -joinable).bit_length() - 1
-            stack.append((family, joinable & (joinable - 1)))
-            family += (pairs[i],)
-            clock.tick()
-            yield family
-            stack.append((family, joinable & compatible[i]))
 
 
 def search_collection(

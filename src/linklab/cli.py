@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .budget import BudgetClock, SearchBudget
+from .budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from .certificates import gmk_audit, gmk_graph, theorem_check
 from .connectivity import vertex_connectivity
 from .errors import InvalidInputError, ParseError, SearchBudgetExceeded
@@ -215,8 +215,8 @@ def _add_io_options(sub: argparse.ArgumentParser, *, roots: bool) -> None:
 
 
 def _add_budget_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-nodes", type=int, default=2**62)
-    sub.add_argument("--budget-ms", type=int, default=2**62)
+    sub.add_argument("--budget-nodes", type=int, default=EXHAUSTIVE.max_nodes_expanded)
+    sub.add_argument("--budget-ms", type=int, default=EXHAUSTIVE.time_limit_ms)
 
 
 @functools.cache

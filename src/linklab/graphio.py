@@ -23,12 +23,15 @@ _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile("[^?-~]")  # graph6 characters run from chr(63) to chr(126)
 _G6_SET = re.compile("[^?]")  # a body character with at least one bit set
 _G6_CHARS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))  # 6-bit group -> character
+_G6_GROUPS = bytes.maketrans(bytes(range(63, 127)), bytes(range(64)))  # character -> 6-bit group
 # The characters str.splitlines breaks lines at.
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
-# Largest vertex count an edge-list header may declare: the header alone sizes
-# the adjacency lists.  graph6 needs no limit, as its body length must match n.
-MAX_EDGE_LIST_VERTICES = 100_000
+# The largest graph either parser accepts, checked before any per-edge work:
+# the vertex count on the size field or header, the edge count on the
+# edge-list header or on the set bits of a graph6 body.
+MAX_VERTICES = 100_000
+MAX_EDGES = 1_000_000
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -46,8 +49,10 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"non-integer header fields in {header!r}", line=at) from None
     if n < 0 or m < 0:
         raise ParseError("header counts must be non-negative", line=at)
-    if n > MAX_EDGE_LIST_VERTICES:
-        raise ParseError(f"header declares {n} vertices, above the limit {MAX_EDGE_LIST_VERTICES}", line=at)
+    if n > MAX_VERTICES:
+        raise ParseError(f"header declares {n} vertices, above the limit {MAX_VERTICES}", line=at)
+    if m > MAX_EDGES:
+        raise ParseError(f"header declares {m} edges, above the limit {MAX_EDGES}", line=at)
     if len(body) != m:
         raise ParseError(f"header promises {m} edges but {len(body)} edge lines found", line=at)
     rows = [0] * n
@@ -112,18 +117,25 @@ def parse_graph6(text: str) -> Graph:
     bad = _G6_INVALID.search(s)
     if bad:
         raise ParseError(f"invalid graph6 character {bad.group()!r}", line=1)
-    if s[0] == "~":
-        if len(s) < 4:
-            raise ParseError("truncated graph6 size field", line=1)
-        n, body = sum((ord(ch) - 63) << shift for ch, shift in zip(s[1:4], (12, 6, 0))), 4
-    else:
-        n, body = ord(s[0]) - 63, 1
+    # The size field is one character, "~" and three, or "~~" and six, each 6 bits of n.
+    start, body = (2, 8) if s.startswith("~~") else (1, 4) if s[0] == "~" else (0, 1)
+    if len(s) < body:
+        raise ParseError("truncated graph6 size field", line=1)
+    n = 0
+    for ch in s[start:body]:
+        n = n << 6 | ord(ch) - 63
+    if n > MAX_VERTICES:
+        raise ParseError(f"graph6 size field declares {n} vertices, above the limit {MAX_VERTICES}", line=1)
     nbits = n * (n - 1) // 2
     expected, got = (nbits + 5) // 6, len(s) - body
     if got != expected:
         raise ParseError(f"graph6 body for {n} vertices needs {expected} characters, got {got}", line=1)
     if expected and (ord(s[-1]) - 63) & ((1 << (6 * expected - nbits)) - 1):
         raise ParseError("nonzero padding bits in graph6 body", line=1)
+    if nbits > MAX_EDGES:  # the body may hold too many edges: count its set bits in one pass
+        m = int.from_bytes(s[body:].encode("ascii").translate(_G6_GROUPS), "big").bit_count()
+        if m > MAX_EDGES:
+            raise ParseError(f"graph6 body holds {m} edges, above the limit {MAX_EDGES}", line=1)
     rows = [0] * n
     for char in _G6_SET.finditer(s, body):
         group, last = ord(char.group()) - 63, 6 * (char.start() - body) + 5

@@ -1,4 +1,4 @@
-"""Core graph types and the contraction operators.
+"""Core graph types, the contraction operators and the family enumeration.
 
 Everything here is an immutable value: graphs, rooted graphs, vertex-set
 collections and paths are all frozen after construction, and every operation
@@ -18,9 +18,13 @@ ORs a clique on its neighborhood into the surviving adjacency rows, and
 ``augment_masks`` also joins every root pair except ``(b1, b2)``.
 Certificate checks count these rows, and the planar certificate tests disc
 planarity on them.  A family is a list of ``(member, neighborhood)`` mask
-pairs, validated once, at the boundary: :func:`validate_collection` turns an
-outside ``Collection`` into one and the certificate searches enumerate valid
-ones, so the mask operators check nothing.
+pairs.  It is valid against a forbidden vertex set when its members are
+disjoint and avoid that set, and no member meets another member's closed
+neighborhood.  :func:`validate_collection` checks an outside ``Collection``
+against this rule and returns its family; :func:`_candidate_members` applies
+the neighborhood cap; the compatibility rows of :func:`iter_collections` join
+only members that satisfy the rule, so every family it yields is valid.  The
+mask operators and the searches over families check nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
+from .budget import BudgetClock
 from .errors import InvalidCollectionError, InvalidInputError
 
 
@@ -334,6 +339,96 @@ def validate_collection(
             )
         closed |= mask | nbhd
     return masks
+
+
+def _candidate_members(
+    g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock
+) -> list[tuple[int, int]]:
+    """All connected vertex sets avoiding ``forbidden`` with at most ``cap``
+    neighbors, as ``(member, neighborhood)`` mask pairs in (size,
+    lexicographic) order of the members, enumerated by branching on their
+    boundary (as for connected sets with a bounded neighborhood in Fomin and
+    Villanger, *Treewidth computation and extremal combinatorics*, 2012).
+
+    A member ``C`` grows from its lowest vertex ``v``; a frame holds ``C``,
+    ``N(C)`` and the committed part ``X`` of ``N(C)``.  Forbidden vertices
+    and allowed vertices below ``v`` that touch ``C`` join ``X`` at once, and
+    the lowest undecided neighbor of ``C`` either joins ``C`` or joins ``X``.
+    A branch dies once ``|X| > cap``.  This is exact: for a qualifying ``C``
+    the path that puts exactly ``C`` in and ``N(C)`` out is never pruned,
+    since ``|N(C)| <= cap``, and it ends at ``C``; conversely every recorded
+    set is connected, avoids the forbidden set and has ``N(C) = X``.
+    Distinct paths disagree on some vertex, so no set is recorded twice.
+    Once ``|X| = cap`` every other neighbor must join ``C``, so ``C`` grows
+    from itself through vertices outside ``X``; its neighborhood holds ``X``
+    throughout and equals it unless the growth reaches a barred vertex
+    (forbidden, or allowed below ``v``), where ``C`` is dropped.  At most
+    ``cap`` branch vertices join ``X`` on a path, so the enumeration is
+    polynomial for a fixed cap.  Every frame is one tick of ``clock``,
+    charged in chunks (see ``budget``)."""
+    adj = g.adjacency_masks
+    allowed = ((1 << g.vertex_count) - 1) & ~mask_of(forbidden)
+    found = []
+    chunk = left = clock.room()  # nodes the clock takes before it must look
+    for v in bits_of(allowed):
+        barred = ~allowed | ((1 << v) - 1)  # never in a member whose lowest vertex is v
+        stack = [(1 << v, adj[v], adj[v] & barred)]
+        while stack:
+            member, nbhd, committed = stack.pop()
+            left -= 1
+            if left < 0:  # this node's tick raises or reads the deadline
+                chunk = left = clock.charge(chunk)
+            size = committed.bit_count()
+            if size > cap:
+                continue
+            undecided = nbhd & ~committed
+            if not undecided:
+                found.append((member, nbhd))
+            elif size == cap:
+                comp, frontier = member, undecided
+                while frontier and not frontier & barred:
+                    comp |= frontier
+                    frontier = neighborhood_mask(adj, frontier) & ~(comp | committed)
+                if not frontier:
+                    found.append((comp, committed))
+            else:
+                low = undecided & -undecided
+                grown = member | low
+                grown_nbhd = (nbhd | adj[low.bit_length() - 1]) & ~grown
+                stack.append((member, nbhd, committed | low))
+                stack.append((grown, grown_nbhd, committed | grown_nbhd & barred))
+    clock.spend(chunk - left)
+    return sorted(found, key=lambda pair: (pair[0].bit_count(), bits_of(pair[0])))
+
+
+def iter_collections(g: Graph, forbidden: frozenset[int], cap: int, clock: BudgetClock):
+    """Every collection of connected members avoiding ``forbidden`` whose
+    neighborhoods have at most ``cap`` vertices, in canonical depth-first
+    order with the empty collection first, each as the tuple of mask pairs
+    :func:`validate_collection` would return for it.  It ticks ``clock`` once
+    per family as it yields it (the empty one before the enumeration), per
+    branch node of the candidate enumeration and per compatibility row."""
+    clock.tick()
+    yield ()
+    pairs = _candidate_members(g, forbidden, cap, clock)
+    compatible = []
+    for member, nbhd in pairs:
+        clock.tick()
+        # Bit j of row i: neither member meets the other's closed
+        # neighborhood; the relation is symmetric, so one test suffices.
+        compatible.append(mask_of(j for j, (other, _) in enumerate(pairs) if not (member | nbhd) & other))
+    # A frame is a family and the mask of the later candidates that can still join
+    # it.  The lowest one joins first; its frame waits below, without it.
+    stack = [((), (1 << len(pairs)) - 1)]
+    while stack:
+        family, joinable = stack.pop()
+        if joinable:
+            i = (joinable & -joinable).bit_length() - 1
+            stack.append((family, joinable & (joinable - 1)))
+            family += (pairs[i],)
+            clock.tick()
+            yield family
+            stack.append((family, joinable & compatible[i]))
 
 
 def contract_masks(g: Graph, family: list[tuple[int, int]]) -> dict[int, int]:

@@ -49,10 +49,9 @@ import itertools
 from dataclasses import dataclass
 
 from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
-from .certificates import iter_collections
 from .errors import InvalidInputError
 from .graphs import (Collection, Graph, RootedGraph, bits_of, components_masks, contract_masks,
-                     join_roots, mask_of, neighborhood_mask, validate_collection)
+                     iter_collections, join_roots, mask_of, neighborhood_mask, validate_collection)
 
 # Path addition decides graphs with 7 up to this many vertices left after the
 # degree reductions; networkx decides larger ones (module docstring).

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from linklab.budget import EXHAUSTIVE, BudgetClock, SearchBudget
 from linklab.certificates import (
     Verdict,
-    _candidate_members,
     base_case_collection,
     critical_base_collection,
     gmk_audit,
     gmk_graph,
-    iter_collections,
     search_collection,
     theorem_check,
     verify_critical_collection,
@@ -25,7 +23,8 @@ from linklab.certificates import (
 )
 from linklab.errors import InvalidCollectionError, InvalidInputError, SearchBudgetExceeded
 from linklab.feasibility import find_linkage_pair, is_feasible
-from linklab.graphs import Collection, Graph, RootedGraph, augment_rooted, bits_of, mask_of, validate_collection
+from linklab.graphs import (Collection, Graph, RootedGraph, _candidate_members, augment_rooted, bits_of,
+                            iter_collections, mask_of, validate_collection)
 from linklab.planarity import find_seymour_certificate
 from oracles import (
     brute_candidate_members,

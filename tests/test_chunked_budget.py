@@ -12,11 +12,10 @@ the same message, and the clock in the same state.
 import pytest
 
 from linklab.budget import BudgetClock, SearchBudget
-from linklab.certificates import _candidate_members
 from linklab.connectivity import vertex_connectivity
 from linklab.errors import SearchBudgetExceeded
 from linklab.feasibility import find_linkage_pair
-from linklab.graphs import Graph, RootedGraph
+from linklab.graphs import Graph, RootedGraph, _candidate_members
 from strategies import trigrid
 
 

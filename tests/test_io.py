@@ -5,7 +5,8 @@ from hypothesis import given
 
 from linklab.errors import ParseError
 from linklab.graphio import (
-    MAX_EDGE_LIST_VERTICES,
+    MAX_EDGES,
+    MAX_VERTICES,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -33,10 +34,15 @@ class TestEdgeList:
             parse_edge_list("nope\n")
 
     def test_header_vertex_limit(self):
-        limit = MAX_EDGE_LIST_VERTICES
+        limit = MAX_VERTICES
         assert parse_edge_list(f"{limit} 0").vertex_count == limit
         with pytest.raises(ParseError, match="line 1.*limit"):
             parse_edge_list(f"{limit + 1} 0")
+
+    def test_header_edge_limit(self):
+        # Refused on the header line, before any edge line is read.
+        with pytest.raises(ParseError, match=f"line 1: header declares {MAX_EDGES + 1} edges, above the limit"):
+            parse_edge_list(f"10 {MAX_EDGES + 1}\n0 1\n")
 
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="line 3.*duplicate"):
@@ -205,6 +211,38 @@ class TestGraph6:
         assert len(text) == 4 + (4000 * 3999 // 2 + 5) // 6
         assert parse_graph6(text) == g
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("size", [MAX_VERTICES + 1, 258_048, 2**36 - 1])
+    def test_size_field_limit(self, size):
+        # Three size characters after "~" up to 258,047 vertices, six after "~~" above.
+        digits = 6 if size > 258_047 else 3
+        field = "~" * (digits // 3) + "".join(chr(63 + (size >> 6 * i & 63)) for i in reversed(range(digits)))
+        with pytest.raises(ParseError, match=f"declares {size} vertices, above the limit {MAX_VERTICES}"):
+            parse_graph6(field + "???")
+
+    def test_truncated_long_size_field(self):
+        with pytest.raises(ParseError, match="truncated"):
+            parse_graph6("~~???")
+
+    def test_dense_input_refused_before_its_edges(self):
+        # K_1500 has 1,124,250 edges, above the limit; its 187 KB string took
+        # over half a second to parse edge by edge, and is refused at once.
+        import time
+
+        n = 1500
+        nbits = n * (n - 1) // 2
+        text = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)) + "~" * (nbits // 6)
+        assert nbits % 6 == 0 and nbits > MAX_EDGES
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"holds {nbits} edges, above the limit {MAX_EDGES}"):
+            parse_graph6(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_sparse_input_past_the_count_threshold_parses(self):
+        # n(n-1)/2 above the edge limit makes the parser count the set bits;
+        # a path with few edges still parses.
+        g = Graph.path_graph(1500)
+        assert parse_graph6(serialize_graph6(g)) == g
 
     def test_long_size_encoding(self):
         # n >= 63 switches to the three-character size field.

@@ -44,6 +44,34 @@ def test_feasibility_is_not_imported_below_it(importer):
     assert "feasibility" not in {module for who, module, _ in IMPORTS if who == importer}
 
 
+# The module ladder, lowest rung first: a module imports only from lower rungs.
+LADDER = (
+    {"errors"},
+    {"budget"},
+    {"graphs"},
+    {"graphio", "connectivity", "planarity"},
+    {"feasibility"},
+    {"certificates"},
+    {"harness"},
+    {"cli"},
+)
+RUNG = {module: height for height, rung in enumerate(LADDER) for module in rung}
+
+
+def test_every_module_stands_on_the_ladder():
+    assert set(TREES) - {"__init__"} == set(RUNG)
+
+
+def test_every_import_comes_from_a_lower_rung():
+    upward = {(importer, module) for importer, module, _ in IMPORTS
+              if importer != "__init__" and RUNG[module] >= RUNG[importer]}
+    assert upward == set()
+
+
+def test_planarity_sits_below_the_searches():
+    assert {module for importer, module, _ in IMPORTS if importer == "planarity"} == {"budget", "errors", "graphs"}
+
+
 def test_private_names_cross_modules_only_where_listed():
     private = {(importer, module, name) for importer, module, name in IMPORTS if name.startswith("_")}
     assert private == {("harness", "feasibility", "_search_linkage")}

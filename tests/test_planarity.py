@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 from linklab.budget import EXHAUSTIVE, BudgetClock
 import linklab.planarity
-from linklab.certificates import iter_collections
 from linklab.errors import InvalidCollectionError, InvalidInputError
 from linklab.feasibility import is_feasible
 from linklab.graphio import serialize_graph
-from linklab.graphs import Collection, Graph, RootedGraph, bits_of, contract_masks
+from linklab.graphs import Collection, Graph, RootedGraph, bits_of, contract_masks, iter_collections
 from linklab.harness import rooted_instances, small_graphs
 from linklab.planarity import (
     DiscInstance,

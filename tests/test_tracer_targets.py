@@ -30,3 +30,21 @@ def test_every_traced_target_is_a_library_function():
         assert inspect.isfunction(function), f"{target.name} is not a function of linklab"
         if target.kind == "generator":
             assert inspect.isgeneratorfunction(function), f"{target.name} is not a generator"
+
+
+def test_the_tracer_still_counts_the_family_enumeration():
+    # install() rebinds only loaded modules, so load them all first.
+    import linklab.cli  # noqa: F401
+    from linklab import certificates, planarity
+    from strategies import trigrid
+
+    rg = trigrid(4, 4, 3)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        certificates.theorem_check(rg)
+        planarity.find_seymour_certificate(rg)
+    finally:
+        tracer.uninstall()
+    stats = tracer.metrics()
+    assert (stats["certificates.iter_collections.calls"], stats["certificates.iter_collections.families"]) == (2, 3)
