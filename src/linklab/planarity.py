@@ -33,14 +33,25 @@ attachment v hangs off H at the cut vertex v: G is planar iff G without it
 and the component plus v both are, so that piece is decided on its own,
 recursively, and dropped, with no block decomposition.
 
+The bookkeeping carries across steps.  Each fragment keeps its attachments
+and its admissible faces, a mask over face indices.  A step splits one face,
+so only the fragments admissible there are re-tested, against the two faces
+it becomes.  The new fragments are the chords at the path's inner vertices
+and the components of what is left of the path's own fragment: no other
+component touches those vertices, and no other attachment set changes.
+
 Above the cut-over networkx decides, and it is imported only then.  The
-cut-over is the largest size at which path addition beat networkx on
-planar triangulated grids, relabelled, the inputs it must embed in full
-(CPython 3.11, 2-vCPU VM; networkx timed with building its graph): 0.14
-against 0.52 ms at 16 vertices, 0.96 against 1.25 ms at 36 and 1.18 against
-1.43 ms at 40 (5 x 8), but 1.75 against 1.52 ms at 48 and 3.06 against 2.52
-ms at 64.  Path addition grows about as n^2 per graph, so larger inputs stay
-on networkx's linear-time test.
+cut-over is the largest size at which path addition beat networkx by a
+margin on planar triangulated grids, relabelled, the inputs it must embed
+in full (CPython 3.11, 2-vCPU VM, medians; networkx timed with building its
+graph): 0.13 against 0.68 ms at 16 vertices, 0.49 against 1.59 ms at 36,
+1.21 against 2.91 ms at 64, 3.96 against 6.73 ms at 144 and 10.2 against
+12.2 ms at 256 (16 x 16), but 13.3 against 14.6 ms at 289 and 25.0 against
+27.2 ms at 324.  Path addition still grows about as n^2 per graph, since a
+step re-splits all that is left of its fragment, so larger inputs stay on
+networkx's linear-time test.  Inputs whose big fragment loses a vertex or
+two per step fare worse: a wheel loses from 144 vertices (5.7 against 5.0
+ms) and takes 23.9 against 9.0 ms at 256.
 """
 
 from __future__ import annotations
@@ -51,11 +62,11 @@ from dataclasses import dataclass
 from .budget import EXHAUSTIVE, BudgetClock, SearchBudget, clock_of
 from .errors import InvalidInputError
 from .graphs import (Collection, Graph, RootedGraph, bits_of, components_masks, contract_masks,
-                     iter_collections, join_roots, mask_of, neighborhood_mask, validate_collection)
+                     iter_collections, join_roots, mask_of, validate_collection)
 
 # Path addition decides graphs with 7 up to this many vertices left after the
 # degree reductions; networkx decides larger ones (module docstring).
-_PATH_ADDITION_MAX = 40
+_PATH_ADDITION_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -138,45 +149,72 @@ def _path_addition(rows: dict[int, int], comp: int) -> bool:
         h_rows[a] |= 1 << b
         h_rows[b] |= 1 << a
     faces, masks = [cycle, cycle[::-1]], [h, h]
+    # ``fragments[k]`` is (attachments, vertices), with no vertices for a
+    # chord, and ``fits[k]`` masks the faces that admit it (module docstring).
+    # After a step into face i, which became faces i and j, ``fresh`` holds
+    # the path's inner vertices and ``rest`` what is left of its fragment.
+    # A new fragment enters as fitting face i, so the re-test against faces
+    # i and j sets its fit, as for every older fragment that face i admitted.
+    # The first step takes the cycle for its path.
+    fragments, fits = [], []
+    fresh, rest, i, j = cycle, comp & ~h, 0, 1
     # Each step embeds at least one edge, so a step beyond the edge count is a bug.
-    for _ in range(sum(rows[v].bit_count() for v in bits_of(comp)) // 2):
-        # Fragments as (attachments, vertices): each chord of H, with no
-        # vertices of its own, and each component of G - V(H).
-        fragments = []
-        rest = h
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            a = low.bit_length() - 1
-            chords = rows[a] & h & ~h_rows[a] & ~(2 * low - 1)  # chords a b with b > a
+    for _ in range(sum(rows[v].bit_count() for v in h_rows) // 2):
+        face_i = 1 << i
+        done = 0
+        for x in fresh:
+            done |= 1 << x
+            chords = rows[x] & h & ~h_rows[x] & ~done
             while chords:
                 high = chords & -chords
                 chords ^= high
-                fragments.append((low | high, 0))
-        for part in components_masks(rows, comp & ~h):
-            attachments = neighborhood_mask(rows, part)
+                fragments.append((1 << x | high, 0))
+                fits.append(face_i)
+        while rest:
+            # One breadth-first pass gives a component and, from the rows it
+            # ORs, the component's attachments.
+            part = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                row = 0
+                while frontier:
+                    low = frontier & -frontier
+                    row |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= row
+                frontier = row & rest & ~part
+                part |= frontier
+            rest &= ~part
+            attachments = reach & ~part
             if attachments & (attachments - 1):
                 fragments.append((attachments, part))
+                fits.append(face_i)
                 continue
             # One attachment v: G is planar iff G - part and G[part + v] are.
             piece = part | attachments
             if not _is_planar_rows({x: rows[x] & piece for x in bits_of(piece)}):
                 return False
-            comp &= ~part
         if not fragments:
             return True
-        # A fragment with one admissible face must go there, so the scan may
-        # stop at it; a fragment with none is then met on a later step.
-        fewest = None
-        for attachments, part in fragments:
-            admissible = [i for i, face in enumerate(masks) if not attachments & ~face]
-            if not admissible:
-                return False
-            if fewest is None or len(admissible) < len(fewest[2]):
-                fewest = attachments, part, admissible
-                if len(admissible) == 1:
-                    break
-        attachments, part, (i, *_) = fewest
+        # Re-test on faces i and j, and take a fragment with the fewest
+        # admissible faces; one with none leaves no embedding.
+        mask_i, mask_j, face_j = masks[i], masks[j], 1 << j
+        fewest, count = 0, len(masks) + 1
+        for k, fit in enumerate(fits):
+            if fit & face_i:
+                attachments = fragments[k][0]
+                fit ^= face_i
+                if not attachments & ~mask_i:
+                    fit |= face_i
+                if not attachments & ~mask_j:
+                    fit |= face_j
+                if not fit:
+                    return False
+                fits[k] = fit
+            if count > 1 and fit.bit_count() < count:
+                fewest, count = k, fit.bit_count()
+        (attachments, part), fit = fragments.pop(fewest), fits.pop(fewest)
+        i = (fit & -fit).bit_length() - 1
         u = (attachments & -attachments).bit_length() - 1
         inner = []
         if part:
@@ -208,12 +246,15 @@ def _path_addition(rows: dict[int, int], comp: int) -> bool:
         h |= inner_mask
         # Split the face at u and w: one side returns along the path reversed.
         face = faces[i]
-        j = face.index(u)
-        turn = face[j:] + face[:j]
+        k = face.index(u)
+        turn = face[k:] + face[:k]
         k = turn.index(w)
-        faces[i], masks[i] = turn[:k + 1] + inner[::-1], mask_of(turn[:k + 1]) | inner_mask
+        # The new face's mask is read off face i's before that is replaced.
+        side = mask_of(turn[:k + 1])
         faces.append(turn[k:] + [u] + inner)
-        masks.append(mask_of(turn[k:]) | 1 << u | inner_mask)
+        masks.append(masks[i] & ~side | 1 << u | 1 << w | inner_mask)
+        faces[i], masks[i] = turn[:k + 1] + inner[::-1], side | inner_mask
+        fresh, rest, j = inner, part & ~inner_mask, len(faces) - 1
     raise AssertionError("path addition took more steps than the component has edges")
 
 

@@ -89,6 +89,23 @@ def cube() -> Graph:
                                 (0, 4), (1, 5), (2, 6), (3, 7)])
 
 
+def wheel(n: int) -> Graph:
+    """The hub n - 1 joined to the rim cycle 0..n-2: planar, and no vertex has
+    degree below 3, so the reductions leave all n."""
+    return Graph.from_edges(n, [*((i, (i + 1) % (n - 1)) for i in range(n - 1)),
+                                *((i, n - 1) for i in range(n - 1))])
+
+
+def networkx_is_planar(g: Graph) -> bool:
+    nxg = nx.Graph(g.edges)
+    nxg.add_nodes_from(range(g.vertex_count))
+    return nx.check_planarity(nxg, counterexample=False)[0]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    return Graph.from_edges(g.vertex_count, ((perm[u], perm[v]) for u, v in g.edges))
+
+
 def count_path_additions(monkeypatch) -> list:
     """A list that gets one entry per call into ``planarity._path_addition``."""
     calls = []
@@ -113,6 +130,25 @@ def test_is_planar_matches_oracles_exhaustively():
             perm = rng.sample(range(h.vertex_count), h.vertex_count)
             relabelled = Graph.from_edges(h.vertex_count, ((perm[u], perm[v]) for u, v in h.edges))
             assert is_planar(relabelled) == expected, (h, perm)
+
+
+def test_is_planar_matches_networkx_under_relabellings():
+    # The walk, the starting cycle and the fragment order of path addition
+    # all follow vertex ids.  Every graph with 7 vertices, and every graph
+    # with 6 plus a ring through 4 of them in a seeded order and an apex on
+    # the ring (the shape of the sweep's disc tests), is decided under 3
+    # seeded relabellings against networkx on the graph as given.
+    rng = random.Random(35)
+    shapes = list(small_graphs(7, min_n=7))
+    for g in small_graphs(6, min_n=6):
+        ring = rng.sample(range(6), 4)
+        shapes.append(Graph.from_edges(7, {*g.edges, *((ring[i - 1], ring[i]) for i in range(4)),
+                                           *((s, 6) for s in ring)}))
+    for h in shapes:
+        expected = networkx_is_planar(h)
+        for _ in range(3):
+            perm = rng.sample(range(7), 7)
+            assert is_planar(relabel(h, perm)) == expected, (h, perm)
 
 
 class TestIsPlanar:
@@ -168,35 +204,42 @@ class TestIsPlanar:
             if n == 8:
                 assert rotation_system_is_planar(g) == expected, g
 
-    def test_matches_networkx_on_graphs_8_to_40(self, monkeypatch):
-        # Seeded sparse G(n, p) graphs with 8-40 vertices, near the density
-        # where planarity fails, and relabelled triangulated grids of 3-6 x
-        # 3-6 with about 20% of their edges dropped and 0-2 random edges
-        # added, against networkx.  A grid stays planar unless an added edge
-        # crosses it, so path addition embeds most of it before it answers.
+    def test_matches_networkx_on_graphs_8_to_256(self, monkeypatch):
+        # Seeded sparse G(n, p) graphs, near the density where planarity
+        # fails, and relabelled triangulated grids with about 20% of their
+        # edges dropped and 0-2 random edges added, against networkx: 800 of
+        # each with 8-40 vertices, then 20 of each from 41 vertices up to the
+        # cut-over.  A grid stays planar unless an added edge crosses it, so
+        # path addition embeds most of it before it answers.
         rng = random.Random(2032)
-        cases = []
-        for _ in range(800):
-            n = rng.randint(8, 40)
+        top = linklab.planarity._PATH_ADDITION_MAX
+
+        def gnp(n):
             p = rng.uniform(1.5, 4.0) / n
-            cases.append(Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                              if rng.random() < p]))
-        for _ in range(800):
-            grid = trigrid(rng.randint(3, 6), rng.randint(3, 6), 0).graph
-            n = grid.vertex_count
-            edges = {e for e in grid.edges if rng.random() >= 0.2}
+            return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+        def grid(r, c):
+            g = trigrid(r, c, 0).graph
+            n = g.vertex_count
+            edges = {e for e in g.edges if rng.random() >= 0.2}
             edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2))}
             perm = rng.sample(range(n), n)
-            cases.append(Graph.from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+            return Graph.from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+        cases = [gnp(rng.randint(8, 40)) for _ in range(800)]
+        cases += [grid(rng.randint(3, 6), rng.randint(3, 6)) for _ in range(800)]
+        cases += [gnp(rng.randint(41, top)) for _ in range(20)]
+        for _ in range(20):
+            r = rng.randint(7, 16)
+            cases.append(grid(r, rng.randint(7, top // r)))
         calls = count_path_additions(monkeypatch)
         verdicts = []
         for g in cases:
-            nxg = nx.Graph(g.edges)
-            nxg.add_nodes_from(range(g.vertex_count))
-            verdicts.append(nx.check_planarity(nxg, counterexample=False)[0])
+            verdicts.append(networkx_is_planar(g))
             assert is_planar(g) == verdicts[-1], g
         assert verdicts.count(False) > 400 and verdicts.count(True) > 1000
         assert len(calls) > 1000
+        assert max(comp.bit_count() for _, comp in calls) > 200
 
     @given(graphs(max_n=7))
     @settings(max_examples=150)
@@ -204,8 +247,10 @@ class TestIsPlanar:
         assert is_planar(g) == rotation_system_is_planar(g)
 
     def test_decides_below_the_cut_over_without_networkx(self, tmp_path):
-        # Path addition decides up to 40 reduced vertices, so the cube, the
-        # Petersen graph and a disc test on a 30-vertex grid need no networkx.
+        # Path addition decides up to ``_PATH_ADDITION_MAX`` reduced vertices,
+        # so the cube, the Petersen graph, a wheel of exactly that many
+        # vertices and a disc test on a 30-vertex grid need no networkx.
+        top = linklab.planarity._PATH_ADDITION_MAX
         grid = tmp_path / "grid.txt"
         grid.write_text(serialize_graph(trigrid(5, 6, 0).graph))
         script = "\n".join([
@@ -216,6 +261,7 @@ class TestIsPlanar:
             "from linklab.planarity import is_planar",
             f"print(is_planar(Graph.from_edges(8, {sorted(cube().edges)})))",
             f"print(is_planar(Graph.from_edges(10, {sorted(petersen().edges)})))",
+            f"print(is_planar(Graph.from_edges({top}, {sorted(wheel(top).edges)})))",
             f"sys.exit(cli_main(['disc-planar', '-i', {str(grid)!r}, '--boundary', '0,5,29,24']))",
         ])
         src = str(Path(linklab.planarity.__file__).resolve().parent.parent)
@@ -223,9 +269,19 @@ class TestIsPlanar:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[:2] == ["True", "False"]
-        assert json.loads(lines[2]) == {"schema_version": 1, "command": "disc-planar",
+        assert lines[:3] == ["True", "False", "True"]
+        assert json.loads(lines[3]) == {"schema_version": 1, "command": "disc-planar",
                                         "boundary": [0, 5, 29, 24], "disc_planar": True}
+
+    def test_one_vertex_over_the_cut_over_goes_to_networkx(self, monkeypatch):
+        # A wheel keeps all its vertices through the reductions, so one with
+        # a vertex more than the cut-over is networkx's, and path addition
+        # never runs.
+        calls, nx_calls = count_path_additions(monkeypatch), []
+        check = nx.check_planarity
+        monkeypatch.setattr(nx, "check_planarity", lambda *a, **k: nx_calls.append(a) or check(*a, **k))
+        assert is_planar(wheel(linklab.planarity._PATH_ADDITION_MAX + 1))
+        assert (len(nx_calls), calls) == (1, [])
 
 
 class TestIsDiscPlanar:
